@@ -326,14 +326,8 @@ fn quiet_or_nan(v: &[f64], lower_is_better: bool) -> f64 {
     }
 }
 
-pub fn run(cfg: &Cfg) -> Outcome {
-    let mut out = Outcome::default();
-    let nproc = host::nproc();
-    let conns = nproc.min(2);
-    assert!(conns <= nproc, "load generator may not use more connections than cores");
-    let rate = cfg.rate.expect("serve_mix states its open-loop rate=<n>/s in BENCHMARK.json");
-
-    // Set-up: daemon spawn to first reply, several times.
+/// Daemon spawn to first reply, [`SETUP_REPS`] times (seconds each).
+fn setup_times(out: &mut Outcome) -> Vec<f64> {
     let mut setups = Vec::new();
     for _ in 0..SETUP_REPS {
         let t = Instant::now();
@@ -347,6 +341,54 @@ pub fn run(cfg: &Cfg) -> Outcome {
             out.fail(format!("set-up daemon: {first} / {report}"));
         }
     }
+    setups
+}
+
+/// The in-process replay of the workload's request stream, one request
+/// at a time (a duplicate step is one computation): per-request service
+/// times (ms) and per-window throughput (requests/s).
+fn replay(cfg: &Cfg, out: &mut Outcome, mel: &MelPipeline) -> (Vec<f64>, Vec<f64>) {
+    let mut gen = RequestGen::new(cfg.seed);
+    let cache = Arc::new(AllocationCache::new());
+    let mut buf = Vec::with_capacity(8192);
+    let mut service_ms: Vec<f64> = Vec::new();
+    let mut window_rps: Vec<f64> = Vec::new();
+    let start = Instant::now();
+    while start.elapsed().as_secs_f64() < cfg.seconds * REPLAY_SHARE {
+        let t = Instant::now();
+        let mut done = 0usize;
+        for _ in 0..WINDOW_STEPS {
+            let step = gen.step();
+            let sides = if matches!(step, Step::Dup(_)) { 1 } else { 2 };
+            for side in 0..sides {
+                let req = step.request(side);
+                if op_of(req) == "status" {
+                    continue;
+                }
+                let t0 = Instant::now();
+                let reply = serve_in_process(req, mel, &cache, &mut buf);
+                service_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+                out.attempted += 1;
+                match reply {
+                    Ok(r) if is_ok(&r) => done += 1,
+                    Ok(r) => out.fail(format!("in-process replay: {req} -> {r}")),
+                    Err(e) => out.fail(format!("in-process replay: {req}: {e}")),
+                }
+            }
+        }
+        window_rps.push(done as f64 / t.elapsed().as_secs_f64());
+    }
+    (service_ms, window_rps)
+}
+
+pub fn run(cfg: &Cfg) -> Outcome {
+    let mut out = Outcome::default();
+    let nproc = host::nproc();
+    let conns = nproc.min(2);
+    assert!(conns <= nproc, "load generator may not use more connections than cores");
+    let rate = cfg.rate.expect("serve_mix states its open-loop rate=<n>/s in BENCHMARK.json");
+
+    let setups = setup_times(&mut out);
     out.e2e.insert("setup_s", stats::median(&setups));
 
     let daemon = spawn_daemon();
@@ -484,38 +526,7 @@ pub fn run(cfg: &Cfg) -> Outcome {
         out.fail(format!("final status: {final_status}"));
     }
 
-    // Replay: the same request stream in process, one request at a
-    // time; a duplicate step is one computation.
-    let mut replay_gen = RequestGen::new(cfg.seed);
-    let cache = Arc::new(AllocationCache::new());
-    let mut buf = Vec::with_capacity(8192);
-    let mut service_ms: Vec<f64> = Vec::new();
-    let mut replay_rps: Vec<f64> = Vec::new();
-    let replay_start = Instant::now();
-    while replay_start.elapsed().as_secs_f64() < cfg.seconds * REPLAY_SHARE {
-        let t = Instant::now();
-        let mut done = 0usize;
-        for _ in 0..WINDOW_STEPS {
-            let step = replay_gen.step();
-            let sides = if matches!(step, Step::Dup(_)) { 1 } else { 2 };
-            for side in 0..sides {
-                let req = step.request(side);
-                if op_of(req) == "status" {
-                    continue;
-                }
-                let t0 = Instant::now();
-                let reply = serve_in_process(req, &mel, &cache, &mut buf);
-                service_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-                out.attempted += 1;
-                match reply {
-                    Ok(r) if is_ok(&r) => done += 1,
-                    Ok(r) => out.fail(format!("in-process replay: {req} -> {r}")),
-                    Err(e) => out.fail(format!("in-process replay: {req}: {e}")),
-                }
-            }
-        }
-        replay_rps.push(done as f64 / t.elapsed().as_secs_f64());
-    }
+    let (service_ms, replay_rps) = replay(cfg, &mut out, &mel);
 
     // End-to-end metrics: the replay.
     let service = stats::sorted(&service_ms);
