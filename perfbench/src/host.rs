@@ -96,3 +96,40 @@ pub fn provenance(cfg: &Cfg, since: Option<(u64, u64)>) -> String {
         cfg.traced
     )
 }
+
+#[repr(C)]
+struct Timespec {
+    sec: std::os::raw::c_long,
+    nsec: std::os::raw::c_long,
+}
+
+extern "C" {
+    fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+}
+
+/// CPU time (seconds) all of this process's threads have run. Time the
+/// hypervisor gave to other guests (steal) and time spent waiting for a
+/// core do not count; work a call hands to other threads still does.
+pub fn process_cpu_s() -> f64 {
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `ts` is a valid, writable timespec for the call.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+    ts.sec as f64 + ts.nsec as f64 * 1e-9
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn process_cpu_time_advances_with_work() {
+        let t0 = process_cpu_s();
+        let mut x = 0u64;
+        while process_cpu_s() - t0 < 0.01 {
+            x = std::hint::black_box(x.wrapping_add(1));
+        }
+        assert!(x > 0 && process_cpu_s() >= t0 + 0.01);
+    }
+}

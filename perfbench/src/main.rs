@@ -13,16 +13,27 @@
 //! it. Every run checks its outputs; a failed check fails the run.
 //!
 //! Every workload reports every end-to-end metric, so each maps its own
-//! user-visible figures onto six shared slots:
+//! user-visible figures onto five shared slots:
 //!
 //! ```text
 //! slot              serve_mix                 sweep_scale               edge_infer
 //! setup_s           daemon spawn→first reply  pool start + context      plan + quantize
 //! rss_mb            median resident set size sampled between units of work
-//! throughput_per_s  in-process replay req/s   10⁶ DES clients/s         clips/s, batch 8
-//! p50_ms / p99_ms   replay service time       Fig. 7 sweep wall time    single clip
+//! throughput_per_s  in-process replay req/s   10⁵ faulted DES clients/s clips/s, batch 8
+//!                   (lower-quartile window)   with the flight recorder  (fastest batch)
+//! p99_ms            replay service time       Fig. 7 sweep wall time    single clip, CPU time
 //! slo_ratio         share of operations within the workload's limit=…ms
 //! ```
+//!
+//! The host these figures were tuned on (a 2-vCPU guest on a shared
+//! machine) runs the same code up to ~1.6× slower in some stretches
+//! than in others, for seconds to minutes at a time. A median or a p90
+//! lands on whichever phase held more of a run, so between runs it
+//! jumps by the gap between the phases. The gated figures were chosen
+//! for holding still across such runs: p99s, the replay's slow-quartile
+//! rate, the fastest edge batch, and the mostly single-threaded recorded
+//! sweep point. Medians, p90s and the other sweep rates still print on
+//! the line before the result.
 //!
 //! The workloads' own names for these figures (`serve_rps`, `fig7_sweep_ms`,
 //! `infer_p99_ms`, …) and the host provenance print on the line before
@@ -42,11 +53,10 @@ use std::path::PathBuf;
 
 /// End-to-end metrics every workload reports, as (name, unit). Each
 /// workload maps its own user-visible figures onto these slots.
-pub const END_TO_END: [(&str, &str); 6] = [
+pub const END_TO_END: [(&str, &str); 5] = [
     ("setup_s", "s"),
     ("rss_mb", "MB"),
     ("throughput_per_s", "1/s"),
-    ("p50_ms", "ms"),
     ("p99_ms", "ms"),
     ("slo_ratio", "ratio"),
 ];

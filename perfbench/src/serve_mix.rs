@@ -38,16 +38,19 @@ use std::time::{Duration, Instant};
 /// Daemon spawns timed for `setup_s`.
 const SETUP_REPS: usize = 21;
 /// Shares of the run spent in the open loop, the closed loop and the
-/// in-process replay, in that order.
-const OPEN_SHARE: f64 = 0.4;
-const CLOSED_SHARE: f64 = 0.25;
-const REPLAY_SHARE: f64 = 0.35;
+/// in-process replay, in that order. The replay feeds the gated
+/// metrics, so it gets the most time: the longer it runs, the less its
+/// figures depend on which host phase it happened to meet.
+const OPEN_SHARE: f64 = 0.25;
+const CLOSED_SHARE: f64 = 0.15;
+const REPLAY_SHARE: f64 = 0.6;
 /// Lockstep steps per closed-loop or replay window.
 const WINDOW_STEPS: usize = 250;
 /// Consecutive open-loop windows. The daemon's latency figures are the
 /// quietest quartile of the per-window percentiles (see
-/// [`stats::quiet_quartile`]).
-const OPEN_WINDOWS: u64 = 6;
+/// [`stats::quiet_quartile`]); each window holds the 1 000 requests a
+/// p99 needs.
+const OPEN_WINDOWS: u64 = 3;
 /// One step in this many is verified against an in-process computation.
 const SAMPLE_EVERY: u64 = 16;
 /// The open loop fell behind when its median send ran later than this
@@ -528,18 +531,22 @@ pub fn run(cfg: &Cfg) -> Outcome {
 
     let (service_ms, replay_rps) = replay(cfg, &mut out, &mel);
 
-    // End-to-end metrics: the replay.
+    // End-to-end metrics: the replay. Throughput is the rate three
+    // windows in four reach, inside the host's slow phase rather than
+    // across it. The median (where the two cheapest ops' cost ranges
+    // meet) and the p90 (inside `features`, below its slow-phase tail)
+    // move with the share of the run the slow phase took; they print.
     let service = stats::sorted(&service_ms);
     let p50 = stats::percentile(&service, 0.5);
+    let p90 = stats::percentile(&service, 0.9);
     let p99 = stats::tail(&service, 0.99);
     if p99.is_none() {
         out.fail(format!("the replay served {} requests, too few for a p99", service.len()));
     }
-    let replay_throughput = stats::median(&replay_rps);
+    let replay_throughput = stats::percentile(&stats::sorted(&replay_rps), 0.25);
     let replay_slo =
         service_ms.iter().filter(|&&v| v <= cfg.limit_ms).count() as f64 / service.len() as f64;
     out.e2e.insert("throughput_per_s", replay_throughput);
-    out.e2e.insert("p50_ms", p50);
     out.e2e.insert("p99_ms", p99.unwrap_or(f64::NAN));
     out.e2e.insert("slo_ratio", replay_slo);
 
@@ -587,7 +594,9 @@ pub fn run(cfg: &Cfg) -> Outcome {
 
     out.named("setup_s", stats::median(&setups), "s");
     out.named("replay_req_per_s", replay_throughput, "1/s");
+    out.named("replay_req_per_s_median_window", stats::median(&replay_rps), "1/s");
     out.named("replay_p50_ms", p50, "ms");
+    out.named("replay_p90_ms", p90, "ms");
     out.named("replay_p99_ms", p99.unwrap_or(f64::NAN), "ms");
     out.named("replay_slo_ratio", replay_slo, "ratio");
     out.named("serve_rps", serve_rps, "1/s");
@@ -622,8 +631,8 @@ pub fn run(cfg: &Cfg) -> Outcome {
         from_due.len()
     ));
     out.report.push(format!(
-        "  replay (gated): {} requests, {replay_throughput:.0} req/s, p50 {p50:.4} ms, p99 {:.4} \
-         ms, slo_ratio {replay_slo:.5}",
+        "  replay (gated): {} requests, {replay_throughput:.0} req/s (lower-quartile window), \
+         p50 {p50:.4} ms, p90 {p90:.4} ms, p99 {:.4} ms, slo_ratio {replay_slo:.5}",
         service.len(),
         p99.unwrap_or(f64::NAN)
     ));
