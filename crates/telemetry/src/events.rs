@@ -6,6 +6,7 @@
 //! bounded ([`RingBufferSink`]) or dropped ([`NoopSink`]).
 
 use crate::json;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
@@ -109,7 +110,10 @@ pub struct Event {
     /// export deterministic (`"seq"` in JSONL).
     pub seq: u64,
     /// Event type, dot-namespaced by layer (e.g. `"des.arrival"`).
-    pub kind: String,
+    /// Recorded events borrow a `'static` literal, so recording one
+    /// allocates nothing for its kind; an owned kind (built at run time,
+    /// e.g. parsed back from JSONL) is `Cow::Owned`.
+    pub kind: Cow<'static, str>,
     /// Extra fields, flattened into the JSONL object.
     pub fields: Vec<(&'static str, Value)>,
 }

@@ -128,7 +128,7 @@ fn rec_from_event(e: &Event) -> Rec {
         let _ = write!(args, "{}:{}", json::escape(k), value_json(v));
     }
     args.push('}');
-    Rec { t: e.t_sim, seq: e.seq, kind: e.kind.clone(), trace, args_json: args }
+    Rec { t: e.t_sim, seq: e.seq, kind: e.kind.to_string(), trace, args_json: args }
 }
 
 fn rec_from_json(obj: &Json) -> Rec {
@@ -305,7 +305,7 @@ mod tests {
         Event {
             t_sim: t,
             seq,
-            kind: kind.to_string(),
+            kind: kind.to_string().into(),
             fields: vec![("trace", hex(trace).into()), ("client", 3u64.into())],
         }
     }

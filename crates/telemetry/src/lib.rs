@@ -64,6 +64,7 @@ pub use snapshot::TelemetrySnapshot;
 pub use span::Span;
 pub use trace::{Forensics, SpanCtx};
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -202,11 +203,11 @@ impl Telemetry {
     /// Appends a sim-time-stamped event to the sink (no-op when disabled
     /// or when the sink drops events). `t_sim` is simulation time in
     /// seconds; the fields become the JSONL record's extra keys.
-    pub fn event(&self, t_sim: f64, kind: &str, fields: Vec<(&'static str, Value)>) {
+    pub fn event(&self, t_sim: f64, kind: &'static str, fields: Vec<(&'static str, Value)>) {
         if let Some(inner) = &self.inner {
             if inner.sink.is_recording() {
                 let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-                inner.sink.record(Event { t_sim, seq, kind: kind.to_string(), fields });
+                inner.sink.record(Event { t_sim, seq, kind: Cow::Borrowed(kind), fields });
             }
         }
     }
@@ -219,7 +220,7 @@ impl Telemetry {
     pub fn trace_event(
         &self,
         t_sim: f64,
-        kind: &str,
+        kind: &'static str,
         span: SpanCtx,
         mut fields: Vec<(&'static str, Value)>,
     ) {

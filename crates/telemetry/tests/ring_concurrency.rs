@@ -26,7 +26,7 @@ fn event(writer: usize, index: usize) -> Event {
         // seq is normally assigned by the Telemetry handle; the sink
         // itself must not depend on it for ordering.
         seq: 0,
-        kind: "proptest.write".to_string(),
+        kind: "proptest.write".into(),
         fields: vec![("writer", writer.into()), ("index", index.into())],
     }
 }

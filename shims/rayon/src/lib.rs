@@ -576,24 +576,40 @@ mod tests {
     use super::prelude::*;
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Once;
+    use std::sync::{Once, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
     /// Gives the shim's own test binary a real multi-thread pool even on
     /// a single-core machine: set `RAYON_NUM_THREADS` before the pool's
     /// first (lazy) initialization. Every test touching the pool calls
     /// this first.
-    fn init_pool() {
+    ///
+    /// The pool's counters are process-global and the test harness runs
+    /// tests in parallel, so a test asserting on a counter delta must not
+    /// share the pool with its neighbours. Every test holds the returned
+    /// shared guard while it drives the pool; the counter tests take
+    /// [`exclusive_pool`] instead.
+    fn init_pool() -> RwLockReadGuard<'static, ()> {
         static INIT: Once = Once::new();
         INIT.call_once(|| {
             if std::env::var("RAYON_NUM_THREADS").is_err() {
                 std::env::set_var("RAYON_NUM_THREADS", "4");
             }
         });
+        POOL_USERS.read().unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// [`init_pool`] for a test that asserts on pool counter deltas: no
+    /// other test drives the pool while the guard is held.
+    fn exclusive_pool() -> RwLockWriteGuard<'static, ()> {
+        drop(init_pool());
+        POOL_USERS.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    static POOL_USERS: RwLock<()> = RwLock::new(());
 
     #[test]
     fn map_collect_preserves_order() {
-        init_pool();
+        let _pool = init_pool();
         let v: Vec<usize> = (0..10_000).collect();
         let out: Vec<usize> = v.par_iter().map(|&x| x * 2).collect();
         assert_eq!(out, (0..10_000).map(|x| x * 2).collect::<Vec<_>>());
@@ -601,7 +617,7 @@ mod tests {
 
     #[test]
     fn into_par_iter_on_range() {
-        init_pool();
+        let _pool = init_pool();
         let out: Vec<u64> = (0u64..1000).into_par_iter().map(|x| x + 1).collect();
         assert_eq!(out.len(), 1000);
         assert_eq!(out[0], 1);
@@ -610,7 +626,7 @@ mod tests {
 
     #[test]
     fn into_par_iter_on_vec_moves_items() {
-        init_pool();
+        let _pool = init_pool();
         let v: Vec<String> = (0..500).map(|i| i.to_string()).collect();
         let out: Vec<usize> = v.into_par_iter().map(|s| s.len()).collect();
         assert_eq!(out.len(), 500);
@@ -620,7 +636,7 @@ mod tests {
 
     #[test]
     fn undriven_vec_source_drops_items() {
-        init_pool();
+        let _pool = init_pool();
         // Building a pipeline and dropping it without a terminal op must
         // not leak or double-drop.
         let v: Vec<String> = (0..10).map(|i| i.to_string()).collect();
@@ -630,14 +646,14 @@ mod tests {
 
     #[test]
     fn filter_count() {
-        init_pool();
+        let _pool = init_pool();
         let v: Vec<usize> = (0..1000).collect();
         assert_eq!(v.par_iter().filter(|&&x| x % 3 == 0).count(), 334);
     }
 
     #[test]
     fn fused_map_filter_collect() {
-        init_pool();
+        let _pool = init_pool();
         let v: Vec<usize> = (0..1000).collect();
         let out: Vec<usize> = v.par_iter().map(|&x| x * 3).filter(|&x| x % 2 == 0).collect();
         let expected: Vec<usize> = (0..1000).map(|x| x * 3).filter(|&x| x % 2 == 0).collect();
@@ -646,7 +662,7 @@ mod tests {
 
     #[test]
     fn reduce_sums() {
-        init_pool();
+        let _pool = init_pool();
         let v: Vec<u64> = (1..=1000).collect();
         let sum = v.par_iter().map(|&x| x).reduce(|| 0, |a, b| a + b);
         assert_eq!(sum, 500_500);
@@ -654,7 +670,7 @@ mod tests {
 
     #[test]
     fn reduce_with_struct_accumulator() {
-        init_pool();
+        let _pool = init_pool();
         // Mirrors the gradient-accumulation pattern in pb-ml.
         let v: Vec<usize> = (0..257).collect();
         let (count, sum) = v
@@ -667,7 +683,7 @@ mod tests {
 
     #[test]
     fn reduce_is_bit_identical_across_thread_caps() {
-        init_pool();
+        let _pool = init_pool();
         // Floating-point summation depends on fold order; the fixed
         // chunk plan must make it identical at any parallelism.
         let v: Vec<f64> = (0..10_000).map(|i| 1.0 / (i as f64 + 1.0)).collect();
@@ -683,7 +699,7 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        init_pool();
+        let _pool = init_pool();
         let v: Vec<usize> = Vec::new();
         assert_eq!(v.par_iter().map(|&x| x).collect::<Vec<_>>(), Vec::<usize>::new());
         assert_eq!(v.par_iter().count(), 0);
@@ -696,7 +712,7 @@ mod tests {
 
     #[test]
     fn single_element_inputs() {
-        init_pool();
+        let _pool = init_pool();
         let v = vec![41usize];
         assert_eq!(v.par_iter().map(|&x| x + 1).collect::<Vec<_>>(), vec![42]);
         assert_eq!(v.par_iter().count(), 1);
@@ -707,7 +723,7 @@ mod tests {
 
     #[test]
     fn with_min_len_coarsens_chunks() {
-        init_pool();
+        let _pool = exclusive_pool();
         // min_len = len → exactly one chunk → one task executed.
         let before = pool::stats().tasks_executed;
         let v: Vec<usize> = (0..100).collect();
@@ -718,7 +734,7 @@ mod tests {
 
     #[test]
     fn for_each_visits_every_item() {
-        init_pool();
+        let _pool = init_pool();
         let hits = AtomicUsize::new(0);
         let v: Vec<usize> = (0..333).collect();
         v.par_iter().for_each(|_| {
@@ -729,7 +745,7 @@ mod tests {
 
     #[test]
     fn par_chunks_covers_slice_in_order() {
-        init_pool();
+        let _pool = init_pool();
         let v: Vec<usize> = (0..103).collect();
         let sums: Vec<usize> = v.par_chunks(10).map(|c| c.iter().sum()).collect();
         assert_eq!(sums.len(), 11);
@@ -741,7 +757,7 @@ mod tests {
 
     #[test]
     fn join_returns_both_results() {
-        init_pool();
+        let _pool = init_pool();
         let (a, b) = join(|| 2 + 2, || "ok".to_string());
         assert_eq!(a, 4);
         assert_eq!(b, "ok");
@@ -749,7 +765,7 @@ mod tests {
 
     #[test]
     fn join_borrows_environment() {
-        init_pool();
+        let _pool = init_pool();
         let data: Vec<u64> = (0..1000).collect();
         let (lo, hi) = join(|| data[..500].iter().sum::<u64>(), || data[500..].iter().sum::<u64>());
         assert_eq!(lo + hi, (0..1000).sum::<u64>());
@@ -757,7 +773,7 @@ mod tests {
 
     #[test]
     fn scope_runs_all_spawns_including_nested() {
-        init_pool();
+        let _pool = init_pool();
         let hits = AtomicUsize::new(0);
         scope(|s| {
             for _ in 0..10 {
@@ -775,14 +791,14 @@ mod tests {
 
     #[test]
     fn scope_returns_op_result() {
-        init_pool();
+        let _pool = init_pool();
         let r = scope(|_| 7usize);
         assert_eq!(r, 7);
     }
 
     #[test]
     fn nested_par_iter_runs_inline_on_workers() {
-        init_pool();
+        let _pool = init_pool();
         // Each outer item records the thread its inner fan-out ran on;
         // the nesting rule requires inner == outer thread everywhere.
         let v: Vec<usize> = (0..64).collect();
@@ -817,7 +833,7 @@ mod tests {
 
     #[test]
     fn pool_never_exceeds_configured_threads() {
-        init_pool();
+        let _pool = init_pool();
         // Hammer nested fan-outs and assert the regression invariant:
         // live pool threads never exceed RAYON_NUM_THREADS (submitter
         // included), i.e. spawned workers ≤ N - 1.
@@ -842,7 +858,7 @@ mod tests {
 
     #[test]
     fn with_thread_cap_one_is_serial_and_identical() {
-        init_pool();
+        let _pool = init_pool();
         let v: Vec<usize> = (0..5000).collect();
         let par: Vec<usize> = v.par_iter().map(|&x| x * x).collect();
         let serial: Vec<usize> =
@@ -852,7 +868,7 @@ mod tests {
 
     #[test]
     fn steals_accumulate_on_parallel_workloads() {
-        init_pool();
+        let _pool = init_pool();
         if pool::current_num_threads() < 2 {
             return; // single-lane config: nothing can steal
         }
@@ -876,7 +892,7 @@ mod tests {
 
     #[test]
     fn panics_propagate_to_the_caller() {
-        init_pool();
+        let _pool = init_pool();
         let v: Vec<usize> = (0..100).collect();
         let result = std::panic::catch_unwind(|| {
             let _: Vec<usize> =
@@ -887,7 +903,7 @@ mod tests {
 
     #[test]
     fn stats_counters_are_monotone_and_populated() {
-        init_pool();
+        let _pool = exclusive_pool();
         let before = pool::stats();
         let v: Vec<usize> = (0..1000).collect();
         let _: Vec<usize> = v.par_iter().map(|&x| x + 1).collect();

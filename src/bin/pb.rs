@@ -108,7 +108,8 @@ fn usage() {
     println!("                                  bounded flight recorder that dumps FILE");
     println!("                                  (default pb-flight.jsonl) on anomalies;");
     println!("                                  --no-flight opts out (keeps the DES on");
-    println!("                                  its memoized fast path);");
+    println!("                                  its memoized fast path: recording forces");
+    println!("                                  the exact event loop, not a shared lock);");
     println!("                                  --chrome exports a Perfetto-loadable");
     println!("                                  span view, --openmetrics the metrics");
     println!("  trace FILE [--top K] [--chrome FILE]");
@@ -271,10 +272,12 @@ fn sweep(flags: &HashMap<String, String>) {
     // and either way the simulation results are bit-identical. Faulted
     // sweeps without an explicit trace default to the bounded flight
     // recorder, which auto-dumps a post-mortem JSONL on anomalies
-    // (brown-out, retry exhaustion, conservation mismatch). Any
-    // recording sink — the flight recorder included — forces the DES
-    // off its shape-memoized fast path (events must be observable in
-    // order), so `--no-flight` opts out for throughput-sensitive runs.
+    // (brown-out, retry exhaustion, conservation mismatch). The
+    // recorder shards per worker, so it does not serialise the pool;
+    // its remaining cost is that any recording sink forces the DES off
+    // its shape-memoized fast path (events must be observable in order)
+    // and builds every event, so `--no-flight` opts out for
+    // throughput-sensitive runs.
     let wants_events = trace_path.is_some() || chrome_path.is_some();
     let flight = if !fault_plan.is_none() && !wants_events && !flags.contains_key("no-flight") {
         Some(std::sync::Arc::new(

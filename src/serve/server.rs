@@ -412,7 +412,11 @@ impl ServeState {
         }
     }
 
-    fn report(&self) -> DrainReport {
+    /// The accounting counters. `submit` increments them under the
+    /// admission lock, so reading them under it too (`_admission` is the
+    /// proof) never catches a request counted as submitted but not yet
+    /// as accepted or shed.
+    fn report(&self, _admission: &QueueInner) -> DrainReport {
         DrainReport {
             submitted: self.submitted.load(Ordering::Relaxed),
             accepted: self.accepted.load(Ordering::Relaxed),
@@ -422,8 +426,12 @@ impl ServeState {
         }
     }
 
-    fn counters_body(&self, queue_depth: usize, draining: bool) -> String {
-        let r = self.report();
+    /// [`report`](Self::report), taking the admission lock itself.
+    fn snapshot(&self) -> DrainReport {
+        self.report(&self.inner.lock().unwrap())
+    }
+
+    fn counters_body(r: &DrainReport, queue_depth: usize, draining: bool) -> String {
         format!(
             "{{\"submitted\":{},\"accepted\":{},\"shed\":{},\"coalesced\":{},\
              \"executed\":{},\"queue_depth\":{},\"draining\":{},\"conservation\":\"{}\"}}",
@@ -439,18 +447,18 @@ impl ServeState {
     }
 
     fn status_response(&self) -> String {
-        let (depth, draining) = {
+        let body = {
             let g = self.inner.lock().unwrap();
-            (g.pending.len(), g.draining)
+            Self::counters_body(&self.report(&g), g.pending.len(), g.draining)
         };
-        ok_response("status", &self.counters_body(depth, draining))
+        ok_response("status", &body)
     }
 
     /// The shutdown op: drain, then report and stop the accept loop.
     fn shutdown_response(&self) -> String {
         self.begin_drain();
         self.wait_drained();
-        let body = self.counters_body(0, true);
+        let body = Self::counters_body(&self.snapshot(), 0, true);
         self.stop.store(true, Ordering::SeqCst);
         ok_response("shutdown", &body)
     }
@@ -638,7 +646,7 @@ impl ServeHandle {
 
     /// Current accounting counters (live, monotone).
     pub fn stats(&self) -> DrainReport {
-        self.state.report()
+        self.state.snapshot()
     }
 
     /// Pauses the executors: requests are still admitted (and shed once
@@ -663,14 +671,14 @@ impl ServeHandle {
         self.state.wait_drained();
         self.state.stop.store(true, Ordering::SeqCst);
         self.join_threads();
-        self.state.report()
+        self.state.snapshot()
     }
 
     /// Blocks until a client-initiated `shutdown` op drains the daemon,
     /// then joins the threads and returns the final accounting.
     pub fn wait(mut self) -> DrainReport {
         self.join_threads();
-        self.state.report()
+        self.state.snapshot()
     }
 
     fn join_threads(&mut self) {

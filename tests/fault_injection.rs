@@ -363,7 +363,7 @@ fn fault_events_and_counters_reach_telemetry_without_perturbing_results() {
     }
     // The trace carries the `fault.{outage,retry,fallback}` events.
     let events = tel.events();
-    let kinds: Vec<&str> = events.iter().map(|e| e.kind.as_str()).collect();
+    let kinds: Vec<&str> = events.iter().map(|e| e.kind.as_ref()).collect();
     assert!(kinds.contains(&"fault.outage"), "outage hits recorded");
     assert!(kinds.contains(&"fault.retry"), "retry schedule recorded");
     assert!(kinds.contains(&"fault.fallback"), "fallbacks recorded");

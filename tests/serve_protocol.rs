@@ -422,6 +422,59 @@ fn saturation_sheds_with_retry_after_and_conserves_every_request() {
     assert_eq!(report.executed, report.accepted - report.coalesced, "drain leaves no backlog");
 }
 
+#[test]
+fn status_reads_conservation_ok_while_requests_are_in_flight() {
+    init_pool();
+    const SUBMITTERS: usize = 4;
+    const PER_SUBMITTER: usize = 150;
+    // A small queue so the run mixes queued, coalesced and shed requests.
+    let daemon = spawn(
+        "127.0.0.1:0",
+        ServeOptions { queue_capacity: 2, workers: 1, ..ServeOptions::default() },
+    )
+    .unwrap();
+    let addr = daemon.addr();
+    let submitters: Vec<_> = (0..SUBMITTERS)
+        .map(|s| {
+            std::thread::spawn(move || {
+                let mut c = ServeClient::connect(addr).unwrap();
+                for i in 0..PER_SUBMITTER {
+                    // Every other request repeats across submitters, so
+                    // some coalesce onto one another's executions.
+                    let hives = if i % 2 == 0 { 100 + i } else { 1000 + s * PER_SUBMITTER + i };
+                    let r = c
+                        .call(&format!("{{\"op\":\"recommend\",\"hives\":{hives},\"cap\":35}}"))
+                        .unwrap();
+                    assert!(
+                        r.starts_with("{\"status\":\"ok\"")
+                            || r.starts_with("{\"status\":\"shed\""),
+                        "{r}"
+                    );
+                }
+            })
+        })
+        .collect();
+
+    // Poll over the wire and in process until every submitter is done:
+    // a mid-run snapshot must never see a request counted as submitted
+    // but not yet as accepted or shed.
+    let mut c = ServeClient::connect(addr).unwrap();
+    let mut polls = 0;
+    while polls < 50 || !submitters.iter().all(std::thread::JoinHandle::is_finished) {
+        let reply = c.call("{\"op\":\"status\"}").unwrap();
+        assert!(reply.contains("\"conservation\":\"ok\""), "mid-run status: {reply}");
+        let stats = daemon.stats();
+        assert!(stats.conservation_ok(), "mid-run stats: {stats}");
+        polls += 1;
+    }
+    for s in submitters {
+        s.join().unwrap();
+    }
+    let report = daemon.shutdown();
+    assert!(report.conservation_ok(), "{report}");
+    assert_eq!(report.submitted, (SUBMITTERS * PER_SUBMITTER) as u64);
+}
+
 // ---------------------------------------------------------------------
 // 4. Golden telemetry
 // ---------------------------------------------------------------------
