@@ -6,13 +6,16 @@
 //! repository root — a machine-readable perf baseline for future PRs.
 //! "Cold" includes planning (FFT twiddles, window, filterbank); "warm"
 //! reuses the plans, which is the steady per-cycle cost the energy model
-//! prices.
+//! prices. Rows are in milliseconds except `fft_2048_real`, one
+//! 2048-sample real transform in microseconds (the STFT runs 427 of them
+//! per clip). The file records the host it was taken on.
 
 use criterion::{black_box, Criterion};
 use pb_ml::nn::resnet::{ResNetConfig, ResNetLite};
 use pb_ml::quant::{QuantScratch, QuantizedResNetLite};
 use pb_ml::tensor::FeatureMap;
 use pb_signal::audio::{BeeAudioSynth, ColonyState};
+use pb_signal::fft::Fft;
 use pb_signal::pipeline::MelPipeline;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,8 +60,54 @@ fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
 
 struct Row {
     name: &'static str,
-    cold_ms: f64,
-    warm_ms: f64,
+    /// Key suffix of the two figures: `ms`, or `us` for the FFT row.
+    unit: &'static str,
+    cold: f64,
+    warm: f64,
+}
+
+impl Row {
+    fn ms(name: &'static str, cold_ms: f64, warm_ms: f64) -> Self {
+        Row { name, unit: "ms", cold: cold_ms, warm: warm_ms }
+    }
+}
+
+/// One 2048-sample real transform in microseconds: cold plans and
+/// transforms once, warm is the fastest mean over batches of reused-plan
+/// transforms.
+fn fft_row(clip: &[f64]) -> Row {
+    let frame = &clip[..pb_signal::N_FFT];
+    let bins = pb_signal::N_FFT / 2 + 1;
+    let (mut re, mut im) = (vec![0.0; bins], vec![0.0; bins]);
+    let cold = time_ms(1, || {
+        Fft::new(pb_signal::N_FFT).forward_real_split(frame, &mut re, &mut im);
+        re[1]
+    });
+    let plan = Fft::new(pb_signal::N_FFT);
+    let batch = 400;
+    let warm = time_ms(12, || {
+        for _ in 0..batch {
+            plan.forward_real_split(black_box(frame), &mut re, &mut im);
+        }
+        re[1]
+    });
+    Row { name: "fft_2048_real", unit: "us", cold: cold * 1e3, warm: warm * 1e3 / batch as f64 }
+}
+
+/// The host a run was taken on: core count and CPU model (from
+/// `/proc/cpuinfo`; "unknown" where that is absent).
+fn host_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    format!("{{\"nproc\": {nproc}, \"cpu_model\": {}}}", pb_telemetry::json::escape(&model))
 }
 
 fn measure_rows() -> Vec<Row> {
@@ -125,32 +174,31 @@ fn measure_rows() -> Vec<Row> {
     });
 
     vec![
-        Row { name: "clip_to_mel", cold_ms: clip_to_mel_cold, warm_ms: clip_to_mel },
-        Row { name: "clip_to_mfcc13", cold_ms: clip_to_mfcc_cold, warm_ms: clip_to_mfcc },
-        Row { name: "cnn_forward_100px", cold_ms: cnn, warm_ms: cnn },
-        Row { name: "cnn_forward_100px_int8", cold_ms: cnn_int8_cold, warm_ms: cnn_int8 },
-        Row { name: "conv3x3_8c_50px_direct", cold_ms: conv_direct, warm_ms: conv_direct },
-        Row { name: "conv3x3_8c_50px_gemm", cold_ms: conv_gemm, warm_ms: conv_gemm },
-        Row {
-            name: "end_to_end_clip_to_prediction",
-            cold_ms: end_to_end_cold,
-            warm_ms: end_to_end,
-        },
-        Row { name: "end_to_end_batch8", cold_ms: batch8_cold, warm_ms: batch8 },
+        fft_row(&clip),
+        Row::ms("clip_to_mel", clip_to_mel_cold, clip_to_mel),
+        Row::ms("clip_to_mfcc13", clip_to_mfcc_cold, clip_to_mfcc),
+        Row::ms("cnn_forward_100px", cnn, cnn),
+        Row::ms("cnn_forward_100px_int8", cnn_int8_cold, cnn_int8),
+        Row::ms("conv3x3_8c_50px_direct", conv_direct, conv_direct),
+        Row::ms("conv3x3_8c_50px_gemm", conv_gemm, conv_gemm),
+        Row::ms("end_to_end_clip_to_prediction", end_to_end_cold, end_to_end),
+        Row::ms("end_to_end_batch8", batch8_cold, batch8),
     ]
 }
 
 fn write_json(rows: &[Row]) {
     let mut out = String::from("{\n  \"bench\": \"dsp_pipeline\",\n");
     out.push_str("  \"clip_seconds\": 10.0,\n  \"sample_rate_hz\": 22050,\n");
+    out.push_str(&format!("  \"host\": {},\n", host_json()));
     out.push_str("  \"cnn_input_side\": 100,\n  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"cold_ms\": {:.3}, \"warm_ms\": {:.3}}}{}\n",
+            "    {{\"name\": \"{}\", \"cold_{u}\": {:.3}, \"warm_{u}\": {:.3}}}{}\n",
             r.name,
-            r.cold_ms,
-            r.warm_ms,
-            if i + 1 == rows.len() { "" } else { "," }
+            r.cold,
+            r.warm,
+            if i + 1 == rows.len() { "" } else { "," },
+            u = r.unit,
         ));
     }
     out.push_str("  ]\n}\n");
@@ -169,6 +217,11 @@ fn criterion_groups() {
     let cnn_input = to_feature_map(&pipeline.image(&clip, CNN_SIDE));
 
     let mut group = c.benchmark_group("dsp_pipeline");
+    let plan = Fft::new(pb_signal::N_FFT);
+    let (mut re, mut im) = (vec![0.0; plan.len() / 2 + 1], vec![0.0; plan.len() / 2 + 1]);
+    group.bench_function("fft_2048_real", |b| {
+        b.iter(|| plan.forward_real_split(black_box(&clip[..plan.len()]), &mut re, &mut im))
+    });
     group.bench_function("clip_to_mel", |b| b.iter(|| black_box(pipeline.mel(&clip).n_frames())));
     group.bench_function("clip_to_mfcc13", |b| {
         b.iter(|| black_box(pipeline.mfcc(&clip, 13).n_frames()))

@@ -1009,91 +1009,6 @@ mod tests {
         presets::cloud_server(ServiceKind::Cnn, cap)
     }
 
-    #[test]
-    #[ignore = "manual profiling aid"]
-    fn profile_fastpath_phases() {
-        use std::time::Instant;
-        let srv = server(35);
-        let n_servers = 5556usize;
-        let k = 180usize;
-        let total = (n_servers * k) as f64;
-        let memo = ShapeMemo::for_server(&srv, std::iter::repeat_n(k, n_servers));
-        let telemetry = Telemetry::disabled();
-        let cycle = srv.cycle.value();
-        let mut sink = 0.0f64;
-
-        let mut time = |label: &str, f: &mut dyn FnMut() -> f64| {
-            let mut best = f64::INFINITY;
-            for _ in 0..5 {
-                let t0 = Instant::now();
-                sink += f();
-                best = best.min(t0.elapsed().as_secs_f64());
-            }
-            eprintln!("{label:<18} {:>8.1} ms  {:>6.1} ns/client", best * 1e3, best * 1e9 / total);
-        };
-
-        time("rng only", &mut || {
-            let mut acc = 0.0;
-            for s in 0..n_servers {
-                let mut rng = StdRng::seed_from_u64(s as u64);
-                for _ in 0..k {
-                    acc += rng.gen_range(0.0..cycle);
-                }
-            }
-            acc
-        });
-        time("rng+sort_unstable", &mut || {
-            let mut acc = 0.0;
-            for s in 0..n_servers {
-                let mut rng = StdRng::seed_from_u64(s as u64);
-                let mut arrivals: Vec<f64> = (0..k).map(|_| rng.gen_range(0.0..cycle)).collect();
-                arrivals.sort_unstable_by(f64::total_cmp);
-                acc += arrivals[0];
-            }
-            acc
-        });
-        time("rng+bucket_sort", &mut || {
-            let mut acc = 0.0;
-            for s in 0..n_servers {
-                let mut rng = StdRng::seed_from_u64(s as u64);
-                let mut arrivals: Vec<f64> = (0..k).map(|_| rng.gen_range(0.0..cycle)).collect();
-                sort_arrival_times(&mut arrivals);
-                acc += arrivals[0];
-            }
-            acc
-        });
-        time("+replay_core", &mut || {
-            let mut acc = 0.0;
-            for s in 0..n_servers {
-                let mut rng = StdRng::seed_from_u64(s as u64);
-                let mut arrivals: Vec<f64> = (0..k).map(|_| rng.gen_range(0.0..cycle)).collect();
-                sort_arrival_times(&mut arrivals);
-                let out = replay_core(k, &arrivals, None, &srv, Some(&memo));
-                acc += out.receive_busy;
-            }
-            acc
-        });
-        time("full memoized", &mut || {
-            let mut acc = 0.0;
-            for s in 0..n_servers {
-                let mut rng = StdRng::seed_from_u64(s as u64);
-                let r =
-                    simulate_async_cycle_memoized(k, &srv, &mut rng, &telemetry, None, Some(&memo));
-                acc += r.server_energy.value();
-            }
-            acc
-        });
-        time("Des::evaluate 1e6", &mut || {
-            use crate::engine::{Backend, CycleEngine, ScenarioSpec, SimContext};
-            use crate::loss::LossModel;
-            let spec = ScenarioSpec::paper(ServiceKind::Cnn, 35, LossModel::NONE);
-            let ctx = SimContext::new(0xF1E1D);
-            let r = Backend::Des.evaluate(&spec, 1_000_000, &ctx);
-            r.edge_energy_total.value()
-        });
-        eprintln!("sink={sink}");
-    }
-
     /// The CPU hand-off at an exact float tie: a transfer finishing at
     /// precisely `cpu_busy_until` must join the back of a non-empty
     /// wait queue, not seize the CPU past the FIFO waiters. Constant

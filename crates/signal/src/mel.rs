@@ -156,6 +156,10 @@ impl MelSpectrogram {
     /// Dynamic range floor applied after referencing to the maximum.
     pub const TOP_DB: f64 = 80.0;
 
+    /// Power floor of both the cells and the reference before the dB
+    /// ratio (librosa's `amin`).
+    pub const AMIN: f64 = 1e-30;
+
     /// Computes the log-mel spectrogram of `signal` with the paper's
     /// parameters.
     pub fn paper_default(signal: &[f64]) -> Self {
@@ -167,19 +171,26 @@ impl MelSpectrogram {
     }
 
     /// Computes a log-mel spectrogram with explicit STFT and filterbank.
+    ///
+    /// Each frame's power row goes straight into its mel bands
+    /// ([`Stft::for_each_power_frame`]); the full power spectrogram is
+    /// never built.
     pub fn compute(signal: &[f64], stft: &Stft, bank: &MelFilterbank) -> Self {
-        let power = stft.power_spectrogram(signal);
-        let n_frames = power.n_frames();
+        let n_frames = stft.params().frames_for(signal.len());
         let n_mels = bank.n_mels();
         let mut data = vec![0.0; n_frames * n_mels];
-        for (row, frame) in data.chunks_exact_mut(n_mels).zip(power.frames()) {
-            bank.apply_into(frame, row);
-        }
+        let mut rows = data.chunks_exact_mut(n_mels);
+        stft.for_each_power_frame(signal, |power| {
+            bank.apply_into(power, rows.next().expect("one mel row per frame"));
+        });
 
         // power → dB referenced to the clip maximum, floored at −TOP_DB.
-        let max = data.iter().fold(f64::MIN_POSITIVE, |a, &b| a.max(b));
+        // Both sides of the ratio are floored at AMIN (librosa's `amin`),
+        // so a silent or sub-AMIN clip reads 0 dB rather than dividing by
+        // a denormal reference.
+        let max = data.iter().fold(Self::AMIN, |a, &b| a.max(b));
         for p in &mut data {
-            let db = 10.0 * (p.max(1e-30) / max).log10();
+            let db = 10.0 * (p.max(Self::AMIN) / max).log10();
             *p = db.max(-Self::TOP_DB);
         }
         MelSpectrogram { data, n_frames, n_mels }
@@ -380,6 +391,38 @@ mod tests {
         let means = mel.band_means();
         let peak = means.iter().enumerate().max_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap().0;
         assert!(peak < 16, "300 Hz should fall in a low mel band, got {peak}");
+    }
+
+    #[test]
+    fn silent_and_sub_floor_clips_read_zero_db() {
+        // A silent clip has no power anywhere; a ±1e-20 hiss has power
+        // ~1e-40, below AMIN. Both floor every cell and the reference at
+        // AMIN, so every cell is exactly 0 dB rather than a huge positive
+        // value from a denormal reference.
+        let pipeline = crate::pipeline::MelPipeline::compact();
+        let silence = vec![0.0; 8192];
+        let hiss: Vec<f64> = (0..8192).map(|i| if i % 2 == 0 { 1e-20 } else { -1e-20 }).collect();
+        for clip in [&silence, &hiss] {
+            let mel = pipeline.mel(clip);
+            assert!(mel.n_frames() > 0);
+            assert!(mel.data().iter().all(|&v| v == 0.0), "{:?}", &mel.data()[..4]);
+        }
+    }
+
+    #[test]
+    fn seeded_clips_peak_at_zero_db_and_floor_at_top_db() {
+        use crate::audio::{BeeAudioSynth, ColonyState};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let synth = BeeAudioSynth::default();
+        for (seed, state) in [(1, ColonyState::Queenright), (2, ColonyState::Queenless)] {
+            let clip = synth.generate(state, 1.0, &mut StdRng::seed_from_u64(seed));
+            let mel = MelSpectrogram::paper_default(&clip);
+            let max = mel.data().iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let min = mel.data().iter().cloned().fold(f64::INFINITY, f64::min);
+            assert_eq!(max, 0.0);
+            assert!(min >= -MelSpectrogram::TOP_DB, "min {min}");
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::mfcc::Mfcc;
 use crate::stft::{SpectrogramParams, Stft};
 use crate::window::WindowKind;
 use pb_telemetry::Telemetry;
+use rayon::prelude::*;
 
 /// A planned clip→features pipeline: one STFT plan plus one mel filterbank,
 /// built once and reused for every clip.
@@ -92,12 +93,16 @@ impl MelPipeline {
 
     /// Batch variant of [`MelPipeline::image`]: one normalized `side × side`
     /// spectrogram image per clip, sharing this pipeline's plans across the
-    /// whole batch. Records one `dsp.image` span per clip plus a
-    /// `dsp.batch.size` gauge, so batched callers show up in telemetry with
-    /// the same per-clip histograms as the loop they replace.
-    pub fn images<S: AsRef<[f64]>>(&self, clips: &[S], side: usize) -> Vec<Image> {
+    /// whole batch. The clips fan out over the rayon pool and come back in
+    /// input order; each image is computed exactly as by
+    /// [`MelPipeline::image`], so the batch is bitwise equal to the
+    /// per-clip loop at any thread count. Records one `dsp.image` span per
+    /// clip plus a `dsp.batch.size` gauge, so batched callers show up in
+    /// telemetry with the same per-clip histograms as the loop they
+    /// replace.
+    pub fn images<S: AsRef<[f64]> + Sync>(&self, clips: &[S], side: usize) -> Vec<Image> {
         self.telemetry.set_gauge("dsp.batch.size", clips.len() as f64);
-        clips.iter().map(|c| self.image(c.as_ref(), side)).collect()
+        clips.par_iter().map(|c| self.image(c.as_ref(), side)).collect()
     }
 }
 
@@ -157,20 +162,27 @@ mod tests {
 
     #[test]
     fn batched_images_match_the_per_clip_loop() {
-        let clips: Vec<Vec<f64>> = (0..3)
+        let clips: Vec<Vec<f64>> = (0..5)
             .map(|k| (0..4096).map(|i| (i as f64 * 0.01 * (k + 1) as f64).sin()).collect())
             .collect();
         let tel = Telemetry::metrics_only();
         let p = MelPipeline::compact().with_telemetry(tel.clone());
-        let batched = p.images(&clips, 16);
-        assert_eq!(batched.len(), 3);
-        for (clip, img) in clips.iter().zip(&batched) {
-            assert_eq!(img, &p.image(clip, 16));
+        let looped: Vec<Image> = clips.iter().map(|c| p.image(c, 16)).collect();
+        // The batch fans over the pool; it must equal the loop bit for bit
+        // on one worker, two, and the whole pool.
+        let n = rayon::pool::current_num_threads();
+        for cap in [1, 2, n] {
+            let batched = rayon::pool::with_thread_cap(cap, || p.images(&clips, 16));
+            assert_eq!(batched.len(), clips.len());
+            for (img, want) in batched.iter().zip(&looped) {
+                let bits = |i: &Image| i.pixels().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(img), bits(want), "thread cap {cap}");
+            }
         }
         let snap = tel.snapshot();
-        assert_eq!(snap.gauge("dsp.batch.size"), Some(3.0));
-        // 3 from the batch + 3 from the comparison loop.
-        assert_eq!(snap.histogram("dsp.image").unwrap().count, 6);
+        assert_eq!(snap.gauge("dsp.batch.size"), Some(5.0));
+        // 5 from the loop + 5 from each of the three batches.
+        assert_eq!(snap.histogram("dsp.image").unwrap().count, 20);
     }
 
     #[test]

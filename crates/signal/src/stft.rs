@@ -5,10 +5,23 @@
 //! (n_fft = 2048, hop = 512) a 10 s clip at 22 050 Hz yields ≈427 frames of
 //! 1025 bins each.
 //!
-//! This is the hottest loop of the feature pipeline, so it streams frames
-//! through the packed real-input FFT with reusable window/transform scratch
-//! buffers — no per-frame allocation — and stores the result as one flat
-//! row-major buffer rather than a `Vec` per frame.
+//! This is the hottest loop of the feature pipeline, so frames stream
+//! through one reused set of buffers — windowed frame, split real/imaginary
+//! half-spectrum, one power row — with no per-frame allocation.
+//! [`Stft::for_each_power_frame`] hands each power row to a consumer, so
+//! the mel front end folds a frame into its bands and moves on without
+//! ever holding the 427 × 1025 spectrogram (3.5 MB per clip);
+//! [`Stft::power_spectrogram`] is the same loop collecting the rows.
+//!
+//! Every power cell is `re·re + im·im` of a transform that is
+//! bit-identical to the textbook interleaved FFT (see [`crate::fft`]), so
+//! a streamed row, a [`Spectrogram`] row and a [`StreamingStft`] frame
+//! of the same samples agree bit for bit.
+//! On a 2-vCPU Xeon guest one 2048-sample frame (window, transform,
+//! power) costs about 5.5 µs in the host's fast phase, 4.5 µs of it the
+//! transform.
+//!
+//! [`StreamingStft`]: crate::streaming::StreamingStft
 
 use crate::complex::Complex;
 use crate::fft::Fft;
@@ -142,52 +155,85 @@ impl Stft {
         &self.plan
     }
 
-    /// Windows frame `f` of `signal` into `windowed` (len `n_fft`).
-    #[inline]
-    fn window_frame(&self, signal: &[f64], f: usize, windowed: &mut [f64]) {
-        let start = f * self.params.hop;
-        for (w, (&s, &coeff)) in windowed
-            .iter_mut()
-            .zip(signal[start..start + self.params.n_fft].iter().zip(&self.window))
-        {
-            *w = s * coeff;
+    /// Windows one `n_fft`-sample frame and transforms it into the
+    /// scratch's split half-spectrum.
+    fn frame_spectrum(&self, frame: &[f64], s: &mut FrameScratch) {
+        for (w, (&x, &coeff)) in s.windowed.iter_mut().zip(frame.iter().zip(&self.window)) {
+            *w = x * coeff;
+        }
+        self.plan.forward_real_split(&s.windowed, &mut s.re, &mut s.im);
+    }
+
+    /// Power spectrum |X_k|² of one `n_fft`-sample frame, computed in
+    /// (and borrowed from) `s`.
+    pub(crate) fn frame_power<'s>(&self, frame: &[f64], s: &'s mut FrameScratch) -> &'s [f64] {
+        assert_eq!(frame.len(), self.params.n_fft, "frame length must equal n_fft");
+        self.frame_spectrum(frame, s);
+        for (p, (&r, &i)) in s.power.iter_mut().zip(s.re.iter().zip(&s.im)) {
+            *p = r * r + i * i;
+        }
+        &s.power
+    }
+
+    /// Streams the power spectrum of every frame of `signal`, in order,
+    /// through `each` — one reused `n_fft/2 + 1`-bin row, so consumers that
+    /// reduce a frame as it arrives never hold the whole spectrogram.
+    pub fn for_each_power_frame(&self, signal: &[f64], mut each: impl FnMut(&[f64])) {
+        let (n_fft, hop) = (self.params.n_fft, self.params.hop);
+        let mut scratch = FrameScratch::new(n_fft);
+        for f in 0..self.params.frames_for(signal.len()) {
+            each(self.frame_power(&signal[f * hop..f * hop + n_fft], &mut scratch));
         }
     }
 
     /// Complex STFT of `signal`: one `Vec<Complex>` of `n_fft/2 + 1` bins
     /// per frame.
     pub fn transform(&self, signal: &[f64]) -> Vec<Vec<Complex>> {
-        let n_frames = self.params.frames_for(signal.len());
-        let mut out = Vec::with_capacity(n_frames);
-        let mut windowed = vec![0.0; self.params.n_fft];
-        for f in 0..n_frames {
-            self.window_frame(signal, f, &mut windowed);
-            let mut spec = vec![Complex::ZERO; self.params.bins()];
-            self.plan.forward_real_into(&windowed, &mut spec);
-            out.push(spec);
-        }
-        out
+        let (n_fft, hop) = (self.params.n_fft, self.params.hop);
+        let mut scratch = FrameScratch::new(n_fft);
+        (0..self.params.frames_for(signal.len()))
+            .map(|f| {
+                self.frame_spectrum(&signal[f * hop..f * hop + n_fft], &mut scratch);
+                scratch.re.iter().zip(&scratch.im).map(|(&r, &i)| Complex::new(r, i)).collect()
+            })
+            .collect()
     }
 
-    /// Power spectrogram: |STFT|² per bin, streamed through two reused
-    /// scratch buffers (windowed frame + half-spectrum) into a flat buffer.
+    /// Power spectrogram: |STFT|² per bin, the rows of
+    /// [`Stft::for_each_power_frame`] collected into one flat buffer.
     pub fn power_spectrogram(&self, signal: &[f64]) -> Spectrogram {
         let n_frames = self.params.frames_for(signal.len());
         if n_frames == 0 {
             return Spectrogram::empty();
         }
         let n_bins = self.params.bins();
-        let mut data = vec![0.0; n_frames * n_bins];
-        let mut windowed = vec![0.0; self.params.n_fft];
-        let mut spec = vec![Complex::ZERO; n_bins];
-        for (f, row) in data.chunks_exact_mut(n_bins).enumerate() {
-            self.window_frame(signal, f, &mut windowed);
-            self.plan.forward_real_into(&windowed, &mut spec);
-            for (r, z) in row.iter_mut().zip(&spec) {
-                *r = z.norm_sqr();
-            }
-        }
+        let mut data = Vec::with_capacity(n_frames * n_bins);
+        self.for_each_power_frame(signal, |row| data.extend_from_slice(row));
         Spectrogram { data, n_frames, n_bins }
+    }
+}
+
+/// Reusable buffers for one frame's window → FFT → |X|² pass: the
+/// windowed samples, the split real/imaginary half-spectrum (also the
+/// transform's working columns) and the power row.
+#[derive(Clone, Debug)]
+pub(crate) struct FrameScratch {
+    windowed: Vec<f64>,
+    re: Vec<f64>,
+    im: Vec<f64>,
+    power: Vec<f64>,
+}
+
+impl FrameScratch {
+    /// Buffers for frames of `n_fft` samples.
+    pub(crate) fn new(n_fft: usize) -> Self {
+        let bins = n_fft / 2 + 1;
+        FrameScratch {
+            windowed: vec![0.0; n_fft],
+            re: vec![0.0; bins],
+            im: vec![0.0; bins],
+            power: vec![0.0; bins],
+        }
     }
 }
 

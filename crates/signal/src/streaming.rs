@@ -6,24 +6,19 @@
 //! they are complete, holding only `n_fft` samples of state. Its output is
 //! bit-identical to the batch [`crate::stft::Stft`].
 
-use crate::complex::Complex;
-use crate::fft::Fft;
-use crate::stft::SpectrogramParams;
+use crate::stft::{FrameScratch, SpectrogramParams, Stft};
 
 /// An incremental STFT that processes audio chunk by chunk.
 #[derive(Clone, Debug)]
 pub struct StreamingStft {
-    params: SpectrogramParams,
-    plan: Fft,
-    window: Vec<f64>,
+    /// The batch transform's plan and window, applied one frame at a time.
+    stft: Stft,
     /// Ring of the last `n_fft` samples awaiting frame completion.
     buffer: Vec<f64>,
     /// Samples currently in the buffer.
     filled: usize,
-    /// Reusable windowed-frame scratch (no per-frame allocation).
-    windowed: Vec<f64>,
-    /// Reusable half-spectrum scratch for the real-input FFT.
-    spec: Vec<Complex>,
+    /// Reusable frame buffers (no per-frame allocation).
+    scratch: FrameScratch,
 }
 
 impl StreamingStft {
@@ -31,27 +26,25 @@ impl StreamingStft {
     pub fn new(params: SpectrogramParams) -> Self {
         assert!(params.hop > 0 && params.hop <= params.n_fft, "hop must be in 1..=n_fft");
         StreamingStft {
-            plan: Fft::new(params.n_fft),
-            window: params.window.coefficients(params.n_fft),
+            stft: Stft::new(params),
             buffer: vec![0.0; params.n_fft],
             filled: 0,
-            windowed: vec![0.0; params.n_fft],
-            spec: vec![Complex::ZERO; params.n_fft / 2 + 1],
-            params,
+            scratch: FrameScratch::new(params.n_fft),
         }
     }
 
     /// Number of frames that would be emitted for a signal of `len`
     /// samples (matches the batch transform).
     pub fn frames_for(&self, len: usize) -> usize {
-        self.params.frames_for(len)
+        self.stft.params().frames_for(len)
     }
 
     /// Feeds a chunk; returns the power frames completed by it.
     pub fn feed(&mut self, chunk: &[f64]) -> Vec<Vec<f64>> {
+        let SpectrogramParams { n_fft, hop, .. } = *self.stft.params();
         let mut frames = Vec::new();
         for &sample in chunk {
-            if self.filled < self.params.n_fft {
+            if self.filled < n_fft {
                 self.buffer[self.filled] = sample;
                 self.filled += 1;
             } else {
@@ -60,14 +53,12 @@ impl StreamingStft {
                 // invariant; the simple shift keeps the window exact and
                 // is dominated by the FFT cost at hop ≥ n_fft/4.
                 self.buffer.copy_within(1.., 0);
-                self.buffer[self.params.n_fft - 1] = sample;
+                self.buffer[n_fft - 1] = sample;
                 self.filled += 1;
             }
             // A frame completes when (filled − n_fft) is a non-negative
             // multiple of hop.
-            if self.filled >= self.params.n_fft
-                && (self.filled - self.params.n_fft).is_multiple_of(self.params.hop)
-            {
+            if self.filled >= n_fft && (self.filled - n_fft).is_multiple_of(hop) {
                 frames.push(self.emit());
             }
         }
@@ -75,12 +66,7 @@ impl StreamingStft {
     }
 
     fn emit(&mut self) -> Vec<f64> {
-        for (w, (&x, &coeff)) in self.windowed.iter_mut().zip(self.buffer.iter().zip(&self.window))
-        {
-            *w = x * coeff;
-        }
-        self.plan.forward_real_into(&self.windowed, &mut self.spec);
-        self.spec.iter().map(|z| z.norm_sqr()).collect()
+        self.stft.frame_power(&self.buffer, &mut self.scratch).to_vec()
     }
 
     /// Total samples consumed so far.
