@@ -94,22 +94,6 @@ fn fft_row(clip: &[f64]) -> Row {
     Row { name: "fft_2048_real", unit: "us", cold: cold * 1e3, warm: warm * 1e3 / batch as f64 }
 }
 
-/// The host a run was taken on: core count and CPU model (from
-/// `/proc/cpuinfo`; "unknown" where that is absent).
-fn host_json() -> String {
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let model = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split_once(':'))
-                .map(|(_, v)| v.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".to_string());
-    format!("{{\"nproc\": {nproc}, \"cpu_model\": {}}}", pb_telemetry::json::escape(&model))
-}
-
 fn measure_rows() -> Vec<Row> {
     let clip = paper_clip();
     let pipeline = MelPipeline::paper_default();
@@ -189,7 +173,7 @@ fn measure_rows() -> Vec<Row> {
 fn write_json(rows: &[Row]) {
     let mut out = String::from("{\n  \"bench\": \"dsp_pipeline\",\n");
     out.push_str("  \"clip_seconds\": 10.0,\n  \"sample_rate_hz\": 22050,\n");
-    out.push_str(&format!("  \"host\": {},\n", host_json()));
+    out.push_str(&format!("  \"host\": {},\n", pb_bench::host_json()));
     out.push_str("  \"cnn_input_side\": 100,\n  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(

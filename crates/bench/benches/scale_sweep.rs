@@ -1,12 +1,13 @@
 //! Million-hive scale sweep: throughput of one Fig. 7-style sweep point
 //! at 10⁴, 10⁵ and 10⁶ clients on all three backends.
 //!
-//! The columnar fleet state, run-length-encoded allocation and
-//! calendar-queue DES exist to make this workload tractable; the bench
-//! records clients/sec per (backend, population) into
-//! `BENCH_scale.json` at the repository root and asserts that every
-//! point is **bit-identical** across worker counts 1, 2 and N — the
-//! contract the deterministic chunk plans exist to keep.
+//! The columnar fleet state, run-length-encoded allocation and the
+//! shape-memoized DES replay exist to make this workload tractable; the
+//! bench records clients/sec per (backend, population) into
+//! `BENCH_scale.json` at the repository root, together with the host it
+//! ran on, and asserts that every point is **bit-identical** across
+//! worker counts 1, 2 and N — the contract the deterministic chunk
+//! plans exist to keep.
 //!
 //! Set `SCALE_SWEEP_MAX` (a client count) to cap the largest population
 //! — CI's smoke run uses `SCALE_SWEEP_MAX=100000` so the reduced sweep
@@ -122,6 +123,7 @@ fn measure_rows() -> Vec<Row> {
 
 fn write_json(rows: &[Row]) {
     let mut out = String::from("{\n  \"bench\": \"scale_sweep\",\n");
+    out.push_str(&format!("  \"host\": {},\n", pb_bench::host_json()));
     out.push_str(&format!("  \"n_threads\": {},\n", current_num_threads()));
     out.push_str(&format!("  \"max_population\": {},\n", max_population()));
     out.push_str("  \"results\": [\n");

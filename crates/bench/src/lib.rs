@@ -68,6 +68,23 @@ pub fn emit(table: &pb_orchestra::report::TextTable, csv: bool) {
     }
 }
 
+/// The host a bench run was taken on, as the `"host"` JSON object of a
+/// `BENCH_*.json` file: core count and CPU model (from `/proc/cpuinfo`;
+/// "unknown" where that is absent).
+pub fn host_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    format!("{{\"nproc\": {nproc}, \"cpu_model\": {}}}", pb_telemetry::json::escape(&model))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

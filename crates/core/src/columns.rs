@@ -275,7 +275,7 @@ impl FleetColumns {
 /// sorted wake-up instant — the rows are already time-ordered) and
 /// **divergent** ones (retries pushed the client to a later, unordered
 /// instant). Merging the sorted clean run with the sorted divergent
-/// tail reproduces the calendar queue's exact `(time, push index)` pop
+/// tail reproduces the DES event queue's exact `(time, push index)` pop
 /// order in O(m + d log d) for `d` divergent clients, instead of
 /// re-sorting all m rows — and instead of running the event loop at
 /// all.
@@ -326,7 +326,7 @@ impl TransferColumns {
         self.t_eff.iter().zip(&self.client).map(|(&t, &c)| (t, c as usize)).collect()
     }
 
-    /// The rows in calendar *pop* order — time ascending, ties in push
+    /// The rows in event-queue *pop* order — time ascending, ties in push
     /// order — as separate time and client columns (the shape the DES
     /// replay consumes), via the clean/divergent merge described on
     /// the type.
@@ -344,7 +344,7 @@ impl TransferColumns {
         }
         // Clean rows inherit the arrival sort; only the divergent tail
         // needs ordering. The sort key (time, push index) matches the
-        // calendar queue's (time, seq) tie-break exactly.
+        // event queue's (time, seq) tie-break exactly.
         divergent.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut times: Vec<f64> = Vec::with_capacity(m);
         let mut clients: Vec<u32> = Vec::with_capacity(m);
@@ -553,7 +553,7 @@ mod tests {
     fn pop_order_merge_matches_a_stable_sort() {
         // Clean rows keep a sorted time column; divergent rows scatter.
         // The merge must equal a stable sort of all rows by time (stable
-        // sort preserves push order at ties — the calendar tie-break).
+        // sort preserves push order at ties — the event-queue tie-break).
         let mut cols = TransferColumns::with_capacity(8);
         let mut rng = StdRng::seed_from_u64(3);
         let mut t = 0.0;

@@ -10,7 +10,6 @@
 //! so the slotted and asynchronous designs can be compared head-to-head
 //! (`ablation_async` binary).
 
-use crate::calendar::{BucketModel, CalendarQueue, EventKey};
 use crate::columns::{ClassView, TransferColumns};
 use crate::faults::{
     emit_brownout_fallback, emit_delivered, emit_sample, exact_transfer, ClientClass, FaultPlan,
@@ -21,7 +20,8 @@ use pb_telemetry::trace::{trace_id, SpanCtx, HOP_ARRIVAL, HOP_PROCESS, HOP_TRANS
 use pb_telemetry::Telemetry;
 use pb_units::{Joules, Seconds, Watts};
 use rand::Rng;
-use std::collections::VecDeque;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Outcome of one asynchronous cycle.
 #[derive(Clone, Debug)]
@@ -45,7 +45,7 @@ pub struct AsyncCycleReport {
     pub peak_queue: usize,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     /// A client wakes and wants the uplink.
     Arrival { client: usize },
@@ -53,6 +53,29 @@ enum Event {
     TransferDone { client: usize },
     /// The processor finishes a client's job.
     ProcessDone { client: usize },
+}
+
+/// Event-queue key: simulation time, then a push sequence number, so
+/// simultaneous events pop in scheduling order. `seq` is unique, so the
+/// order is total and the [`Event`] payload never breaks a tie.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct EventKey {
+    time: f64,
+    seq: u64,
+}
+
+impl Eq for EventKey {}
+
+impl PartialOrd for EventKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for EventKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.time.total_cmp(&other.time).then(self.seq.cmp(&other.seq))
+    }
 }
 
 /// Simulates one unsynchronized cycle: `n_clients` wake uniformly at
@@ -68,22 +91,7 @@ pub fn simulate_async_cycle<R: Rng + ?Sized>(
     server: &ServerModel,
     rng: &mut R,
 ) -> AsyncCycleReport {
-    simulate_async_cycle_traced(n_clients, server, rng, &Telemetry::disabled())
-}
-
-/// [`simulate_async_cycle`] with observability: event counts by type
-/// (`des.events.*`), the peak uplink queue depth (`des.queue_depth.peak`
-/// gauge), the horizon histogram (`des.cycle.horizon_s`), and — when the
-/// sink keeps events — one sim-time-stamped trace record per simulation
-/// event plus a `des.cycle_done` summary. Telemetry never touches the
-/// RNG, so results are bit-identical to the untraced call.
-pub fn simulate_async_cycle_traced<R: Rng + ?Sized>(
-    n_clients: usize,
-    server: &ServerModel,
-    rng: &mut R,
-    telemetry: &Telemetry,
-) -> AsyncCycleReport {
-    simulate_async_cycle_causal(n_clients, server, rng, telemetry, None)
+    simulate_async_cycle_memoized(n_clients, server, rng, &Telemetry::disabled(), None, None)
 }
 
 /// Causal-tagging context for one DES server job: where this server's
@@ -163,26 +171,28 @@ fn repeated_sum(value: f64, m: usize) -> f64 {
     sum
 }
 
-/// [`simulate_async_cycle_traced`] with causal span tags: each client
-/// gets a root `trace.sample` span at its arrival instant, the
-/// `des.{arrival,transfer_done,process_done}` hops chain under it, and
-/// a terminal `trace.delivered` span lands at the client's processing
-/// completion. Results are bit-identical to the untagged call.
-pub fn simulate_async_cycle_causal<R: Rng + ?Sized>(
-    n_clients: usize,
-    server: &ServerModel,
-    rng: &mut R,
-    telemetry: &Telemetry,
-    causal: Option<&DesTrace>,
-) -> AsyncCycleReport {
-    simulate_async_cycle_memoized(n_clients, server, rng, telemetry, causal, None)
-}
-
-/// [`simulate_async_cycle_causal`] with a [`ShapeMemo`]: when the
-/// caller simulates many servers of identical shape (the engine's
-/// normal fan-out), the memo supplies the shape's repeated-addition
-/// constants so each replayed trajectory skips re-folding them. Results
-/// are bit-identical with or without the memo.
+/// [`simulate_async_cycle`] with observability, causal tags and a
+/// [`ShapeMemo`].
+///
+/// * **Telemetry**: event counts by type (`des.events.*`), the peak
+///   uplink queue depth (`des.queue_depth.peak` gauge), the event-queue
+///   occupancy and horizon histograms (`des.queue.occupancy`,
+///   `des.cycle.horizon_s`), and — when the sink keeps events — one
+///   sim-time-stamped trace record per simulation event plus a
+///   `des.cycle_done` summary.
+/// * **Causal tags** ([`DesTrace`], active only under
+///   [`Telemetry::with_tracing`]): each client gets a root
+///   `trace.sample` span at its arrival instant, the
+///   `des.{arrival,transfer_done,process_done}` hops chain under it, and
+///   a terminal `trace.delivered` span lands at the client's processing
+///   completion.
+/// * **Memo**: when the caller simulates many servers of identical
+///   shape (the engine's normal fan-out), the memo supplies the shape's
+///   repeated-addition constants so each replayed trajectory skips
+///   re-folding them.
+///
+/// None of the three touches the RNG: results are bit-identical to
+/// [`simulate_async_cycle`] with or without them.
 pub fn simulate_async_cycle_memoized<R: Rng + ?Sized>(
     n_clients: usize,
     server: &ServerModel,
@@ -250,7 +260,7 @@ pub fn simulate_async_cycle_memoized<R: Rng + ?Sized>(
     }
 }
 
-/// [`simulate_async_cycle_traced`] under a [`FaultPlan`]: every client
+/// [`simulate_async_cycle_memoized`] under a [`FaultPlan`]: every client
 /// still wakes at a uniform random instant (the same arrival stream as
 /// the fault-free run, bit for bit), but its participation follows its
 /// drawn [`ClientClass`] — browned-out and sensor-dropped clients never
@@ -339,7 +349,7 @@ pub fn simulate_async_cycle_faulted<R: Rng + ?Sized, F: Rng + ?Sized>(
         }
     }
     let delivered = cols.len() as u64;
-    // The replay needs entries in calendar *pop* order — (time, push
+    // The replay needs entries in event-queue *pop* order — (time, push
     // index) — which the clean/divergent merge produces in O(m + d log d)
     // for d divergent clients; the exact loop needs the original push
     // order so its event sequence numbers stay bit-identical.
@@ -429,10 +439,6 @@ struct LoopOutcome {
     n_arrivals: u64,
     n_transfers: u64,
     n_processed: u64,
-    /// Highest calendar-queue occupancy the cycle reached.
-    peak_events: usize,
-    /// Calendar-queue bucket resizes the cycle performed.
-    queue_resizes: u64,
     /// Clients whose trajectory the shape-memoized fast path replayed
     /// (0 when the exact event loop ran).
     replayed: u64,
@@ -468,8 +474,6 @@ fn fast_path_eligible(telemetry: &Telemetry, tagged: bool, server: &ServerModel)
 struct ReplayScratch {
     finish: Vec<f64>,
     proc_end: Vec<f64>,
-    queued: Vec<bool>,
-    cpu_free: Vec<bool>,
     queued_starts: Vec<f64>,
 }
 
@@ -549,21 +553,13 @@ fn sort_arrival_times(times: &mut [f64]) {
     debug_assert!(times.windows(2).all(|w| w[0] <= w[1]));
 }
 
-/// The `i`-th value of a sorted event stream, `+inf` past the end (the
-/// block-skip merge in [`replay_core`] treats an exhausted stream as an
-/// event at the end of time).
-#[inline(always)]
-fn stream_at(v: &[f64], i: usize) -> f64 {
-    v.get(i).copied().unwrap_or(f64::INFINITY)
-}
-
 /// Bit-exact O(m) replay of [`exact_event_loop`].
 ///
 /// `times` holds the participating clients' effective arrival instants
-/// in calendar *pop* order (time ascending, ties in push order);
+/// in event-queue *pop* order (time ascending, ties in push order);
 /// `clients` maps pop position to client id, or `None` when position
 /// `i` *is* client `i` (the sorted fault-free case). In pop order the
-/// event loop's behaviour is a pure recurrence — no calendar queue
+/// event loop's behaviour is a pure recurrence — no event queue
 /// needed:
 ///
 /// * **Uplink**: client `i` (capacity `C`) starts its upload at
@@ -582,11 +578,6 @@ fn stream_at(v: &[f64], i: usize) -> f64 {
 /// * **Wait queue**: the waiting set at a queued arrival `aᵢ` is the
 ///   suffix of queued clients whose start is `≥ aᵢ` — a two-pointer
 ///   scan, since starts and arrivals are both monotone.
-/// * **Calendar telemetry**: the queue's occupancy peak and resize
-///   history are replayed through a [`BucketModel`] (see the sweep
-///   below). This runs even with telemetry disabled so enabling
-///   metrics never changes the work done (the overhead gate in
-///   `bench_telemetry_overhead` pins that).
 ///
 /// Simultaneous events of different kinds (an arrival at exactly a
 /// transfer-finish instant, etc.) are resolved Arrival < TransferDone <
@@ -608,16 +599,12 @@ fn replay_core(
 
     REPLAY_SCRATCH.with(|scratch| {
         let mut scratch = scratch.borrow_mut();
-        let ReplayScratch { finish, proc_end, queued, cpu_free, queued_starts } = &mut *scratch;
+        let ReplayScratch { finish, proc_end, queued_starts } = &mut *scratch;
         finish.clear();
         proc_end.clear();
-        queued.clear();
-        cpu_free.clear();
         queued_starts.clear();
         finish.reserve(m);
         proc_end.reserve(m);
-        queued.reserve(m);
-        cpu_free.reserve(m);
 
         let mut receive_busy = 0.0f64;
         let mut peak_queue = 0usize;
@@ -635,7 +622,6 @@ fn replay_core(
             debug_assert!(i == 0 || times[i - 1] <= a, "replay entries must be in pop order");
             let (start, q) =
                 if i >= cap && finish[i - cap] >= a { (finish[i - cap], true) } else { (a, false) };
-            queued.push(q);
             let f = start + transfer;
             finish.push(f);
             if q {
@@ -655,11 +641,8 @@ fn replay_core(
             } else {
                 busy_end = f;
             }
-            // `free` is the loop's "CPU idle at this transfer-finish"
-            // test; recorded so the calendar replay below can look it
-            // up without re-deriving the float comparison.
+            // The loop's "CPU idle at this transfer-finish" test.
             let free = !(i > 0 && prev_proc_end > f);
-            cpu_free.push(free);
             let cpu_start = if free { f } else { prev_proc_end };
             prev_proc_end = cpu_start + process;
             proc_end.push(prev_proc_end);
@@ -691,89 +674,6 @@ fn replay_core(
             }
         };
 
-        // Replay the calendar queue's bookkeeping. The m batch arrival
-        // pushes are folded analytically by `seed_batch`: the occupancy
-        // peak is exactly m, since a client's transfer-done is pushed
-        // only at or after its arrival's pop and its process-done only
-        // at or after its transfer-done's pop, so the queue never holds
-        // more than one pending event per client. The pop sweep is a
-        // 3-way merge of the (each individually sorted) arrival /
-        // transfer-finish / process-finish streams.
-        //
-        // Pushes at each pop: an arrival pushes its transfer-done iff
-        // it starts immediately; a transfer-done hands the lane to the
-        // (cap)-later queued client and pushes its process-done iff the
-        // CPU is free; a process-done pushes the next process-done iff
-        // that one was waiting on the CPU.
-        //
-        // The merge runs block-skipped: while `safe_event_budget`
-        // proves no resize can fire, a whole block of the merge
-        // collapses to three linear scans up to a cutoff time τ (the
-        // per-event occupancy walk only moves `len`, which
-        // `skip_events` applies in one shot). τ is chosen a third of
-        // the budget into each stream, so each scan advances at most
-        // budget/3 positions and the block never exceeds the budget;
-        // `< τ` strictly keeps the cut time-consistent with the true
-        // merge order. Only near a resize boundary (or when τ yields
-        // no progress) does the sweep fall back to stepping single
-        // events through the branchy 3-way compare.
-        let mut model = BucketModel::with_hint(m, server.cycle.value());
-        model.seed_batch(m);
-        const STEP: usize = 32;
-        let (mut ai, mut ti, mut pi) = (0usize, 0usize, 0usize);
-        let mut remaining = 3 * m;
-        while remaining > 0 {
-            let budget = model.safe_event_budget().min(remaining);
-            if budget >= STEP {
-                let q = budget / 3;
-                let tau = stream_at(times, ai + q)
-                    .min(stream_at(finish, ti + q))
-                    .min(stream_at(proc_end, pi + q));
-                let (a0, t0, p0) = (ai, ti, pi);
-                let mut gained = 0usize;
-                while ai < m && times[ai] < tau {
-                    gained += !queued[ai] as usize;
-                    ai += 1;
-                }
-                while ti < m && finish[ti] < tau {
-                    gained += (ti + cap < m && queued[ti + cap]) as usize + cpu_free[ti] as usize;
-                    ti += 1;
-                }
-                while pi < m && proc_end[pi] < tau {
-                    gained += (pi + 1 < m && !cpu_free[pi + 1]) as usize;
-                    pi += 1;
-                }
-                let popped = (ai - a0) + (ti - t0) + (pi - p0);
-                if popped > 0 {
-                    model.skip_events(popped, gained);
-                    remaining -= popped;
-                    continue;
-                }
-                // τ made no progress (duplicate head times): step.
-            }
-            let steps = STEP.min(remaining);
-            for _ in 0..steps {
-                let ta = stream_at(times, ai);
-                let tt = stream_at(finish, ti);
-                let tp = stream_at(proc_end, pi);
-                // Ties resolve Arrival < TransferDone < ProcessDone,
-                // the loop's sequence-number order for every reachable
-                // tie.
-                if ta <= tt && ta <= tp {
-                    model.sweep_event(!queued[ai] as u8);
-                    ai += 1;
-                } else if tt <= tp {
-                    model
-                        .sweep_event((ti + cap < m && queued[ti + cap]) as u8 + cpu_free[ti] as u8);
-                    ti += 1;
-                } else {
-                    model.sweep_event((pi + 1 < m && !cpu_free[pi + 1]) as u8);
-                    pi += 1;
-                }
-            }
-            remaining -= steps;
-        }
-
         LoopOutcome {
             receive_busy,
             process_busy,
@@ -783,8 +683,6 @@ fn replay_core(
             n_arrivals: m as u64,
             n_transfers: m as u64,
             n_processed: m as u64,
-            peak_events: model.peak_len(),
-            queue_resizes: model.resizes(),
             replayed: m as u64,
         }
     })
@@ -793,10 +691,8 @@ fn replay_core(
 /// The exact event-by-event loop (the historical hot path; now the
 /// recording/traced path and the fast path's reference).
 ///
-/// Events are scheduled through a [`CalendarQueue`], which preserves the
-/// exact (time, seq) pop order of the `BinaryHeap` it replaced (pinned
-/// by the `calendar_parity` suite) while staying O(1) per operation at
-/// high occupancy.
+/// Events pop from a min-heap in [`EventKey`] order: time ascending,
+/// ties in push order.
 fn exact_event_loop(
     n_clients: usize,
     entries: &[(f64, usize)],
@@ -809,13 +705,12 @@ fn exact_event_loop(
     let transfer = server.receive_duration.value();
     let process = server.process_duration.value();
 
-    // All arrivals land up front, so the entry count is the occupancy
-    // high-water mark and the cycle duration spans their times.
-    let mut events: CalendarQueue<Event> =
-        CalendarQueue::with_hint(entries.len(), server.cycle.value());
+    // `Reverse` turns the std max-heap into a min-heap.
+    let mut events: BinaryHeap<Reverse<(EventKey, Event)>> =
+        BinaryHeap::with_capacity(entries.len());
     let mut seq = 0u64;
-    let mut push = |events: &mut CalendarQueue<Event>, time: f64, ev: Event| {
-        events.push(EventKey { time, seq }, ev);
+    let mut push = |events: &mut BinaryHeap<_>, time: f64, ev: Event| {
+        events.push(Reverse((EventKey { time, seq }, ev)));
         seq += 1;
     };
 
@@ -842,7 +737,7 @@ fn exact_event_loop(
     let mut n_transfers = 0u64;
     let mut n_processed = 0u64;
 
-    while let Some((key, ev)) = events.pop() {
+    while let Some(Reverse((key, ev))) = events.pop() {
         let now = key.time;
         debug_assert!(now >= last_time, "event popped out of order: {now} after {last_time}");
         last_time = now;
@@ -952,14 +847,16 @@ fn exact_event_loop(
         n_arrivals,
         n_transfers,
         n_processed,
-        peak_events: events.peak_len(),
-        queue_resizes: events.resizes(),
         replayed: 0,
     }
 }
 
-/// Mirrors one cycle's event counts, queue peak, horizon and — when the
-/// sink keeps events — the `des.cycle_done` summary into telemetry.
+/// Mirrors one cycle's event counts, queue peaks, horizon and — when
+/// the sink keeps events — the `des.cycle_done` summary into telemetry.
+///
+/// The event queue's occupancy peak is the arrival count on both paths:
+/// every arrival is pushed before the first pop, and a client never has
+/// more than one pending event, so the queue never grows past them.
 fn flush_telemetry(
     telemetry: &Telemetry,
     n_clients: usize,
@@ -973,14 +870,13 @@ fn flush_telemetry(
     telemetry.add_to_counter("des.events.arrival", out.n_arrivals);
     telemetry.add_to_counter("des.events.transfer_done", out.n_transfers);
     telemetry.add_to_counter("des.events.process_done", out.n_processed);
-    telemetry.add_to_counter("des.queue.resizes", out.queue_resizes);
     if out.replayed > 0 {
         telemetry.add_to_counter("des.fastpath.replayed", out.replayed);
     }
     if let Some(r) = telemetry.registry() {
         r.gauge("des.queue_depth.peak").set_max(out.peak_queue as f64);
     }
-    telemetry.observe("des.queue.occupancy", out.peak_events as f64);
+    telemetry.observe("des.queue.occupancy", out.n_arrivals as f64);
     telemetry.observe("des.cycle.horizon_s", horizon);
     if telemetry.events_recording() {
         telemetry.event(
@@ -1136,7 +1032,7 @@ mod tests {
         let n = 120;
         let tel = Telemetry::enabled();
         let mut rng = StdRng::seed_from_u64(9);
-        let traced = simulate_async_cycle_traced(n, &server(10), &mut rng, &tel);
+        let traced = simulate_async_cycle_memoized(n, &server(10), &mut rng, &tel, None, None);
         let plain = simulate_async_cycle(n, &server(10), &mut StdRng::seed_from_u64(9));
         assert!((traced.server_energy - plain.server_energy).abs() < Joules(1e-12));
         assert_eq!(traced.peak_queue, plain.peak_queue);
@@ -1157,7 +1053,7 @@ mod tests {
         use pb_telemetry::json::{self, Json};
         let tel = Telemetry::enabled();
         let mut rng = StdRng::seed_from_u64(10);
-        let _ = simulate_async_cycle_traced(50, &server(5), &mut rng, &tel);
+        let _ = simulate_async_cycle_memoized(50, &server(5), &mut rng, &tel, None, None);
         // 3 events per client + the cycle_done summary.
         assert_eq!(tel.events().len(), 151);
         let jsonl = tel.to_jsonl();
@@ -1180,7 +1076,7 @@ mod tests {
     fn metrics_only_telemetry_skips_event_construction() {
         let tel = Telemetry::metrics_only();
         let mut rng = StdRng::seed_from_u64(11);
-        let _ = simulate_async_cycle_traced(30, &server(5), &mut rng, &tel);
+        let _ = simulate_async_cycle_memoized(30, &server(5), &mut rng, &tel, None, None);
         assert!(tel.events().is_empty());
         assert_eq!(tel.snapshot().counter("des.events.arrival"), Some(30));
     }

@@ -690,43 +690,6 @@ mod tests {
     }
 
     #[test]
-    fn closed_form_matches_the_deprecated_free_functions() {
-        // The engine is a refactor, not a remodel: on every loss model the
-        // ClosedForm backend must reproduce simulate_edge_cloud exactly
-        // (same RNG stream, same allocation, same algebra).
-        #[allow(deprecated)]
-        for loss in [
-            LossModel::NONE,
-            LossModel::saturation_only(),
-            LossModel::transfer_only(),
-            LossModel::client_loss_only(),
-            LossModel::all(),
-        ] {
-            let spec = spec(10, loss);
-            let ctx = SimContext::new(0xF1E1D);
-            for n in [0usize, 1, 90, 180, 200, 630] {
-                let got = ClosedForm.evaluate(&spec, n, &ctx);
-                let mut rng = ctx.point_rng(n as u64);
-                let want = crate::simulation::simulate_edge_cloud(
-                    n,
-                    &spec.cloud_client,
-                    &spec.server,
-                    &spec.loss,
-                    spec.policy,
-                    &mut rng,
-                );
-                assert_eq!(got, want, "n = {n}");
-
-                let got_edge = ClosedForm.evaluate_edge(&spec, n, &ctx);
-                let mut rng = ctx.point_rng(n as u64);
-                let want_edge =
-                    crate::simulation::simulate_edge(n, &spec.edge_client, &spec.loss, &mut rng);
-                assert_eq!(got_edge, want_edge, "edge, n = {n}");
-            }
-        }
-    }
-
-    #[test]
     fn timeline_agrees_with_closed_form_to_microjoules() {
         for loss in [
             LossModel::NONE,

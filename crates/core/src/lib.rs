@@ -35,7 +35,6 @@
 //! ```
 
 pub mod allocator;
-pub mod calendar;
 pub mod client;
 pub mod columns;
 pub mod des;
@@ -55,13 +54,11 @@ pub mod sweep;
 pub mod timeline;
 
 pub use allocator::{Allocation, FillPolicy, ServerAllocation};
-pub use calendar::{CalendarQueue, EventKey};
 pub use client::{Action, ClientModel};
 pub use columns::{ClassView, FleetColumns, TransferColumns};
 pub use des::{
-    simulate_async_cycle, simulate_async_cycle_causal, simulate_async_cycle_faulted,
-    simulate_async_cycle_memoized, simulate_async_cycle_traced, AsyncCycleReport, DesTrace,
-    FaultedAsyncReport, ShapeMemo,
+    simulate_async_cycle, simulate_async_cycle_faulted, simulate_async_cycle_memoized,
+    AsyncCycleReport, DesTrace, FaultedAsyncReport, ShapeMemo,
 };
 pub use engine::{AllocationCache, Backend, CycleEngine, ScenarioSpec, SimContext};
 pub use faults::{Brownout, ClientClass, FaultPlan, FaultStats, OutageWindow, RetryPolicy};
@@ -76,8 +73,6 @@ pub use scenario::{presets, Scenario};
 pub use sensitivity::{sensitivity_sweep, Parameter, ScenarioParameters, SensitivityRow};
 pub use server::ServerModel;
 pub use simulation::CycleReport;
-#[allow(deprecated)] // re-exported for one transition release
-pub use simulation::{simulate_edge, simulate_edge_cloud};
 pub use sweep::{
     validate_client_count, ComparisonPoint, CrossoverReport, SweepConfig, MAX_SWEEP_CLIENTS,
 };
@@ -100,8 +95,6 @@ pub mod prelude {
     pub use crate::scenario::{presets, Scenario};
     pub use crate::server::ServerModel;
     pub use crate::simulation::CycleReport;
-    #[allow(deprecated)] // re-exported for one transition release
-    pub use crate::simulation::{simulate_edge, simulate_edge_cloud};
     pub use crate::sweep::SweepConfig;
     pub use crate::ServiceKind;
     pub use pb_telemetry::{Telemetry, TelemetrySnapshot};

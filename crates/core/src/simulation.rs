@@ -4,14 +4,13 @@
 //! computes the energy of one wake-up cycle for a population of clients —
 //! the quantity plotted in Figures 6–9.
 
-use crate::allocator::{allocate, Allocation, FillPolicy};
+use crate::allocator::Allocation;
 use crate::client::ClientModel;
 use crate::faults::FaultStats;
 use crate::loss::LossModel;
 use crate::server::ServerModel;
 use pb_energy::EnergyLedger;
 use pb_units::Joules;
-use rand::Rng;
 
 /// Energy accounting of one simulated cycle.
 #[derive(Clone, Debug, PartialEq)]
@@ -101,49 +100,6 @@ impl CycleReport {
     }
 }
 
-/// Simulates one cycle of the **edge scenario**: every client runs the
-/// service locally; no servers exist. Loss C (client loss) still applies —
-/// a crashed hive performs nothing that cycle.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the engine layer instead — `engine::Backend::ClosedForm.evaluate_edge(&spec, n, &ctx)` \
-            derives the RNG and shares the allocation cache"
-)]
-pub fn simulate_edge<R: Rng + ?Sized>(
-    n_clients: usize,
-    client: &ClientModel,
-    loss: &LossModel,
-    rng: &mut R,
-) -> CycleReport {
-    let lost = loss.client_loss.map_or(0, |l| l.draw(n_clients, rng));
-    let active = n_clients - lost;
-    let edge_total = client.cycle_energy() * active as f64;
-    CycleReport::from_parts(n_clients, active, 0, edge_total, Joules::ZERO)
-}
-
-/// Simulates one cycle of the **edge+cloud scenario**: clients upload to
-/// slotted servers which run the service. All three losses apply.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the engine layer instead — `engine::Backend::ClosedForm.evaluate(&spec, n, &ctx)` \
-            derives the RNG and shares the allocation cache"
-)]
-pub fn simulate_edge_cloud<R: Rng + ?Sized>(
-    n_clients: usize,
-    client: &ClientModel,
-    server: &ServerModel,
-    loss: &LossModel,
-    policy: FillPolicy,
-    rng: &mut R,
-) -> CycleReport {
-    let lost = loss.client_loss.map_or(0, |l| l.draw(n_clients, rng));
-    let active = n_clients - lost;
-    let allocation = allocate(active, server, policy, loss.transfer.as_ref());
-    let server_total = servers_cycle_energy(server, &allocation, loss);
-    let edge_total = edge_cycle_energy(client, &allocation, loss);
-    CycleReport::from_parts(n_clients, active, allocation.n_servers(), edge_total, server_total)
-}
-
 /// Total server-side energy of one cycle for a given allocation.
 pub fn servers_cycle_energy(
     server: &ServerModel,
@@ -214,14 +170,13 @@ pub fn edge_cycle_energy(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the wrappers stay pinned to the paper's numbers
 mod tests {
     use super::*;
+    use crate::allocator::FillPolicy;
     use crate::client::Action;
+    use crate::engine::{ClosedForm, CycleEngine, ScenarioSpec, SimContext};
     use crate::loss::{ClientLoss, PenaltyMode, SaturationPenalty, TransferPenalty};
     use pb_units::{Seconds, Watts};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn paper_client() -> ClientModel {
         ClientModel::new(
@@ -262,17 +217,43 @@ mod tests {
         )
     }
 
+    /// Prices one edge+cloud cycle of `client` on `server` through the
+    /// closed-form engine, Loss C drawn from `seed`'s point stream.
+    fn edge_cloud(
+        n: usize,
+        client: &ClientModel,
+        server: &ServerModel,
+        loss: &LossModel,
+        policy: FillPolicy,
+        seed: u64,
+    ) -> CycleReport {
+        let spec = ScenarioSpec {
+            edge_client: client.clone(),
+            cloud_client: client.clone(),
+            server: server.clone(),
+            loss: *loss,
+            policy,
+        };
+        ClosedForm.evaluate(&spec, n, &SimContext::new(seed))
+    }
+
     #[test]
     fn edge_scenario_scales_linearly() {
-        let client = edge_client_cnn();
-        let mut rng = StdRng::seed_from_u64(1);
-        let r = simulate_edge(100, &client, &LossModel::NONE, &mut rng);
+        let spec = ScenarioSpec {
+            edge_client: edge_client_cnn(),
+            cloud_client: paper_client(),
+            server: paper_server(10),
+            loss: LossModel::NONE,
+            policy: FillPolicy::PackSlots,
+        };
+        let ctx = SimContext::new(1);
+        let r = ClosedForm.evaluate_edge(&spec, 100, &ctx);
         assert_eq!(r.n_servers, 0);
         assert_eq!(r.n_active, 100);
         assert!((r.edge_energy_per_client - Joules(367.5)).abs() < Joules(0.5));
         assert!((r.total_energy - r.edge_energy_total).abs() < Joules(1e-9));
         // Per-client cost is population-independent (the Figure 6 red line).
-        let r2 = simulate_edge(400, &client, &LossModel::NONE, &mut rng);
+        let r2 = ClosedForm.evaluate_edge(&spec, 400, &ctx);
         assert!((r2.total_per_client - r.total_per_client).abs() < Joules(1e-9));
     }
 
@@ -282,15 +263,7 @@ mod tests {
         // converges towards 116 joules" at capacity (we compute 117.0).
         let client = paper_client();
         let server = paper_server(10);
-        let mut rng = StdRng::seed_from_u64(2);
-        let r = simulate_edge_cloud(
-            180,
-            &client,
-            &server,
-            &LossModel::NONE,
-            FillPolicy::PackSlots,
-            &mut rng,
-        );
+        let r = edge_cloud(180, &client, &server, &LossModel::NONE, FillPolicy::PackSlots, 2);
         assert_eq!(r.n_servers, 1);
         assert!(
             (r.server_energy_per_client - Joules(117.0)).abs() < Joules(0.5),
@@ -311,15 +284,7 @@ mod tests {
     fn ledger_view_carries_totals_verbatim() {
         let client = paper_client();
         let server = paper_server(10);
-        let mut rng = StdRng::seed_from_u64(7);
-        let r = simulate_edge_cloud(
-            180,
-            &client,
-            &server,
-            &LossModel::NONE,
-            FillPolicy::PackSlots,
-            &mut rng,
-        );
+        let r = edge_cloud(180, &client, &server, &LossModel::NONE, FillPolicy::PackSlots, 7);
         let ledger = r.to_ledger();
         assert_eq!(ledger.len(), 2);
         // Totals carry over bitwise — both sides are the same single
@@ -338,15 +303,7 @@ mod tests {
     fn single_client_pays_the_whole_server() {
         let client = paper_client();
         let server = paper_server(10);
-        let mut rng = StdRng::seed_from_u64(3);
-        let r = simulate_edge_cloud(
-            1,
-            &client,
-            &server,
-            &LossModel::NONE,
-            FillPolicy::PackSlots,
-            &mut rng,
-        );
+        let r = edge_cloud(1, &client, &server, &LossModel::NONE, FillPolicy::PackSlots, 3);
         // One slot of one client: idle 300−16 s, receive 15 s, process 1 s.
         let expected = Watts(44.6) * Seconds(284.0) + Watts(68.8) * Seconds(15.0) + Joules(108.0);
         assert!((r.server_energy_total - expected).abs() < Joules(0.5));
@@ -361,45 +318,13 @@ mod tests {
         let client = paper_client();
         let server = paper_server(10);
         for n in [7usize, 95, 250] {
-            let mut rng = StdRng::seed_from_u64(4);
-            let a = simulate_edge_cloud(
-                n,
-                &client,
-                &server,
-                &LossModel::NONE,
-                FillPolicy::PackSlots,
-                &mut rng,
-            );
-            let mut rng = StdRng::seed_from_u64(4);
-            let b = simulate_edge_cloud(
-                n,
-                &client,
-                &server,
-                &LossModel::NONE,
-                FillPolicy::BalanceSlots,
-                &mut rng,
-            );
+            let a = edge_cloud(n, &client, &server, &LossModel::NONE, FillPolicy::PackSlots, 4);
+            let b = edge_cloud(n, &client, &server, &LossModel::NONE, FillPolicy::BalanceSlots, 4);
             assert!(a.total_energy <= b.total_energy + Joules(1e-6), "n = {n}");
         }
         // At exact capacity both policies produce 18 full slots.
-        let mut rng = StdRng::seed_from_u64(4);
-        let a = simulate_edge_cloud(
-            180,
-            &client,
-            &server,
-            &LossModel::NONE,
-            FillPolicy::PackSlots,
-            &mut rng,
-        );
-        let mut rng = StdRng::seed_from_u64(4);
-        let b = simulate_edge_cloud(
-            180,
-            &client,
-            &server,
-            &LossModel::NONE,
-            FillPolicy::BalanceSlots,
-            &mut rng,
-        );
+        let a = edge_cloud(180, &client, &server, &LossModel::NONE, FillPolicy::PackSlots, 4);
+        let b = edge_cloud(180, &client, &server, &LossModel::NONE, FillPolicy::BalanceSlots, 4);
         assert!((a.total_energy - b.total_energy).abs() < Joules(1e-6));
     }
 
@@ -413,12 +338,8 @@ mod tests {
         let server = paper_server(35);
         let loss = LossModel { saturation: Some(SaturationPenalty::default()), ..LossModel::NONE };
         let n = 558; // 18 slots × 31 balanced; 15 full + one 33-slot packed
-        let mut rng = StdRng::seed_from_u64(5);
-        let packed =
-            simulate_edge_cloud(n, &client, &server, &loss, FillPolicy::PackSlots, &mut rng);
-        let mut rng = StdRng::seed_from_u64(5);
-        let balanced =
-            simulate_edge_cloud(n, &client, &server, &loss, FillPolicy::BalanceSlots, &mut rng);
+        let packed = edge_cloud(n, &client, &server, &loss, FillPolicy::PackSlots, 5);
+        let balanced = edge_cloud(n, &client, &server, &loss, FillPolicy::BalanceSlots, 5);
         assert!(
             balanced.server_energy_total + Joules(1000.0) < packed.server_energy_total,
             "balanced {} vs packed {}",
@@ -434,8 +355,7 @@ mod tests {
         let client = paper_client();
         let server = paper_server(10);
         let loss = LossModel::saturation_only();
-        let mut rng = StdRng::seed_from_u64(6);
-        let r = simulate_edge_cloud(180, &client, &server, &loss, FillPolicy::PackSlots, &mut rng);
+        let r = edge_cloud(180, &client, &server, &loss, FillPolicy::PackSlots, 6);
         // Full slots pay ×1.5: slot energy 1140 → 1710; per client:
         // (44.6·12 + 18·1710)/180 = 174 J. The paper reports 186 J — same
         // regime, within the tolerance we accept for a reconstruction.
@@ -452,8 +372,7 @@ mod tests {
         let client = paper_client();
         let server = paper_server(10);
         let loss = LossModel::transfer_only();
-        let mut rng = StdRng::seed_from_u64(7);
-        let r = simulate_edge_cloud(100, &client, &server, &loss, FillPolicy::PackSlots, &mut rng);
+        let r = edge_cloud(100, &client, &server, &loss, FillPolicy::PackSlots, 7);
         assert_eq!(r.n_servers, 1); // capacity shrank to exactly 100
         let per = r.server_energy_per_client;
         assert!((per - Joules(209.0)).abs() < Joules(5.0), "per-client {per}");
@@ -466,8 +385,7 @@ mod tests {
         let client = paper_client();
         let server = paper_server(10);
         let loss = LossModel { client_loss: Some(ClientLoss::default()), ..LossModel::NONE };
-        let mut rng = StdRng::seed_from_u64(8);
-        let r = simulate_edge_cloud(200, &client, &server, &loss, FillPolicy::PackSlots, &mut rng);
+        let r = edge_cloud(200, &client, &server, &loss, FillPolicy::PackSlots, 8);
         assert!(r.n_active < 200 && r.n_active > 160, "active {}", r.n_active);
         assert_eq!(r.n_requested, 200);
         // Energy billed for active clients only: per-client cost stays at
@@ -479,15 +397,7 @@ mod tests {
     fn zero_clients_zero_energy() {
         let client = paper_client();
         let server = paper_server(10);
-        let mut rng = StdRng::seed_from_u64(9);
-        let r = simulate_edge_cloud(
-            0,
-            &client,
-            &server,
-            &LossModel::NONE,
-            FillPolicy::PackSlots,
-            &mut rng,
-        );
+        let r = edge_cloud(0, &client, &server, &LossModel::NONE, FillPolicy::PackSlots, 9);
         assert_eq!(r.n_servers, 0);
         assert_eq!(r.total_energy, Joules::ZERO);
         assert_eq!(r.total_per_client, Joules::ZERO);
@@ -511,12 +421,8 @@ mod tests {
             }),
             ..LossModel::NONE
         };
-        let mut rng = StdRng::seed_from_u64(10);
-        let a =
-            simulate_edge_cloud(90, &client, &server, &per_extra, FillPolicy::PackSlots, &mut rng);
-        let mut rng = StdRng::seed_from_u64(10);
-        let b =
-            simulate_edge_cloud(90, &client, &server, &per_client, FillPolicy::PackSlots, &mut rng);
+        let a = edge_cloud(90, &client, &server, &per_extra, FillPolicy::PackSlots, 10);
+        let b = edge_cloud(90, &client, &server, &per_client, FillPolicy::PackSlots, 10);
         assert!(b.total_energy > a.total_energy);
     }
 
@@ -530,8 +436,7 @@ mod tests {
             fn totals_are_consistent(n in 0usize..800, cap in 1usize..40, seed in 0u64..100) {
                 let client = paper_client();
                 let server = paper_server(cap);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let r = simulate_edge_cloud(n, &client, &server, &LossModel::all(), FillPolicy::PackSlots, &mut rng);
+                let r = edge_cloud(n, &client, &server, &LossModel::all(), FillPolicy::PackSlots, seed);
                 prop_assert!(r.n_active <= r.n_requested);
                 prop_assert!((r.total_energy - (r.edge_energy_total + r.server_energy_total)).abs() < Joules(1e-6));
                 if r.n_active > 0 {
@@ -548,8 +453,7 @@ mod tests {
                 let server = paper_server(cap);
                 let mut prev = Joules::ZERO;
                 for n in (0..400).step_by(37) {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let r = simulate_edge_cloud(n, &client, &server, &LossModel::NONE, FillPolicy::PackSlots, &mut rng);
+                    let r = edge_cloud(n, &client, &server, &LossModel::NONE, FillPolicy::PackSlots, seed);
                     prop_assert!(r.server_energy_total >= prev - Joules(1e-9));
                     prev = r.server_energy_total;
                 }

@@ -2,14 +2,15 @@
 //! loop, bit for bit.
 //!
 //! A recording event sink forces the DES onto the exact per-event
-//! calendar loop (`fast_path_eligible` is false whenever events are
-//! kept), while a metrics-only handle takes the memoized replay. The
-//! two runs must agree on *everything observable*: every energy total,
-//! the fault ledger (attempts/retries/fallbacks/delivered and the
-//! `delivered + fallbacks + dropouts == active` conservation law), and
+//! loop (`fast_path_eligible` is false whenever events are kept), while
+//! a metrics-only handle takes the memoized replay. The two runs must
+//! agree on *everything observable*: every energy total, the fault
+//! ledger (attempts/retries/fallbacks/delivered and the
+//! `delivered + fallbacks + dropouts == active` conservation law),
 //! every telemetry counter except `des.fastpath.replayed` — the one
-//! counter only the replay emits. The agreement must hold at thread
-//! caps 1, 2 and N, across fault severities from none to
+//! counter only the replay emits — and the `des.*` histograms
+//! (event-queue occupancy and cycle horizon). The agreement must hold
+//! at thread caps 1, 2 and N, across fault severities from none to
 //! outage-plus-brownout, and from a single client to 10⁵.
 
 use precision_beekeeping::orchestra::allocator::FillPolicy;
@@ -70,24 +71,38 @@ fn severity(label: char) -> FaultPlan {
     p
 }
 
+/// One `des.*` histogram as `(name, count, min, max, p50, p95)`. The
+/// sum and mean are left out: worker threads add their observations in
+/// scheduling order, so those two may round differently between any
+/// two multi-threaded runs, while the rest may not.
+type DesHistogram = (String, u64, f64, f64, f64, f64);
+
 /// One DES evaluation plus its telemetry counters, with
 /// `des.fastpath.replayed` split out (it exists only on the replay
-/// path; everything else must match bitwise).
+/// path; everything else must match bitwise), and its `des.*`
+/// histograms (span timings are wall-clock and excluded).
 fn run(
     seed: u64,
     n: usize,
     plan: &FaultPlan,
     tel: Telemetry,
-) -> (CycleReport, Vec<(String, u64)>, u64) {
+) -> (CycleReport, Vec<(String, u64)>, u64, Vec<DesHistogram>) {
     let ctx = SimContext::with_telemetry(seed, tel.clone()).with_fault_plan(*plan);
     let report = Backend::Des.evaluate(&spec(35), n, &ctx);
-    let mut counters = tel.snapshot().counters;
+    let snap = tel.snapshot();
+    let mut counters = snap.counters;
     let replayed = counters
         .iter()
         .position(|(k, _)| k == "des.fastpath.replayed")
         .map(|i| counters.remove(i).1)
         .unwrap_or(0);
-    (report, counters, replayed)
+    let histograms = snap
+        .histograms
+        .into_iter()
+        .filter(|(k, _)| k.starts_with("des."))
+        .map(|(k, h)| (k, h.count, h.min, h.max, h.p50, h.p95))
+        .collect();
+    (report, counters, replayed, histograms)
 }
 
 /// The core pin: fast path (metrics-only telemetry) vs exact loop
@@ -95,10 +110,13 @@ fn run(
 /// thread cap.
 fn assert_equivalent(seed: u64, n: usize, label: char) {
     let plan = severity(label);
-    let (fast, fast_counters, replayed) = run(seed, n, &plan, Telemetry::metrics_only());
-    let (exact, exact_counters, exact_replayed) = run(seed, n, &plan, Telemetry::ring(1));
+    let (fast, fast_counters, replayed, fast_histograms) =
+        run(seed, n, &plan, Telemetry::metrics_only());
+    let (exact, exact_counters, exact_replayed, exact_histograms) =
+        run(seed, n, &plan, Telemetry::ring(1));
     assert_eq!(fast, exact, "severity {label}, n={n}: report diverged");
     assert_eq!(fast_counters, exact_counters, "severity {label}, n={n}: counters diverged");
+    assert_eq!(fast_histograms, exact_histograms, "severity {label}, n={n}: histograms diverged");
     assert_eq!(exact_replayed, 0, "the exact loop must never report replayed clients");
     if label == 'N' && n > 0 {
         assert!(replayed > 0, "fault-free n={n} must take the fast path");
