@@ -1,5 +1,6 @@
 //! Million-hive scale sweep: throughput of one Fig. 7-style sweep point
-//! at 10⁴, 10⁵ and 10⁶ clients on all three backends.
+//! at 10⁴, 10⁵ and 10⁶ clients on all three backends, plus the DES under
+//! the `mid` fault plan without and with the flight recorder.
 //!
 //! The columnar fleet state, run-length-encoded allocation and the
 //! shape-memoized DES replay exist to make this workload tractable; the
@@ -18,6 +19,7 @@ use pb_orchestra::engine::{Backend, CycleEngine, ScenarioSpec, SimContext};
 use pb_orchestra::loss::LossModel;
 use pb_orchestra::prelude::*;
 use pb_orchestra::simulation::CycleReport;
+use pb_telemetry::{FlightRecorderSink, Telemetry};
 use rayon::pool::{current_num_threads, with_thread_cap};
 use std::time::Instant;
 
@@ -49,6 +51,22 @@ fn evaluate_faulted(n: usize) -> CycleReport {
     let spec = fig7_spec();
     let ctx = SimContext::new(SEED).with_fault_plan(FaultPlan::mid_severity());
     Backend::Des.evaluate(&spec, n, &ctx)
+}
+
+/// Where [`evaluate_recorded`]'s recorder writes its post-mortem.
+fn dump_path() -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("pb-scale-sweep-flight-{}.jsonl", std::process::id()))
+}
+
+/// The faulted point with the flight recorder `pb sweep --faults`
+/// installs by default (4096 events per severity, the first trigger
+/// dumps). The recorder keeps no per-event DES trajectories, so the
+/// point stays on the shape-memoized replay.
+fn evaluate_recorded(n: usize) -> CycleReport {
+    let recorder = FlightRecorderSink::new(4096).with_auto_dump(dump_path().to_string_lossy(), 1);
+    let ctx = SimContext::with_telemetry(SEED, Telemetry::with_sink(Box::new(recorder)))
+        .with_fault_plan(FaultPlan::mid_severity());
+    Backend::Des.evaluate(&fig7_spec(), n, &ctx)
 }
 
 /// Times `f` `reps` times; returns the minimum in milliseconds.
@@ -100,24 +118,30 @@ fn measure_rows() -> Vec<Row> {
             });
         }
     }
-    // The faulted DES point (mid severity) rides the same exit bar:
-    // bit-identical across worker counts, clients/sec recorded.
-    for n in SIZES.into_iter().filter(|&n| n <= cap_n) {
-        let nt = evaluate_faulted(n);
-        let one = with_thread_cap(1, || evaluate_faulted(n));
-        let two = with_thread_cap(2.min(n_threads), || evaluate_faulted(n));
-        assert_eq!(nt, one, "faulted des at {n} clients diverges at 1 thread");
-        assert_eq!(nt, two, "faulted des at {n} clients diverges at 2 threads");
+    // The faulted DES point (mid severity), unrecorded and recorded,
+    // rides the same exit bar: bit-identical across worker counts,
+    // clients/sec recorded. The recorder must not move the result.
+    let faulted = evaluate_faulted as fn(usize) -> CycleReport;
+    for (name, eval) in [("des_faulted_mid", faulted), ("des_recorded_mid", evaluate_recorded)] {
+        for n in SIZES.into_iter().filter(|&n| n <= cap_n) {
+            let nt = eval(n);
+            let one = with_thread_cap(1, || eval(n));
+            let two = with_thread_cap(2.min(n_threads), || eval(n));
+            assert_eq!(nt, one, "{name} at {n} clients diverges at 1 thread");
+            assert_eq!(nt, two, "{name} at {n} clients diverges at 2 threads");
+            assert_eq!(nt, evaluate_faulted(n), "{name} at {n} clients != the unrecorded point");
 
-        let reps = if n >= 1_000_000 { 2 } else { 3 };
-        let elapsed_ms = time_ms(reps, || evaluate_faulted(n));
-        rows.push(Row {
-            backend: "des_faulted_mid",
-            n_clients: n,
-            elapsed_ms,
-            clients_per_sec: n as f64 / (elapsed_ms / 1e3),
-        });
+            let reps = if n >= 1_000_000 { 2 } else { 3 };
+            let elapsed_ms = time_ms(reps, || eval(n));
+            rows.push(Row {
+                backend: name,
+                n_clients: n,
+                elapsed_ms,
+                clients_per_sec: n as f64 / (elapsed_ms / 1e3),
+            });
+        }
     }
+    let _ = std::fs::remove_file(dump_path());
     rows
 }
 
@@ -164,7 +188,7 @@ fn main() {
     let rows = measure_rows();
     for r in &rows {
         println!(
-            "{:<12} {:>9} clients: {:>10.3} ms  ({:>12.0} clients/sec)",
+            "{:<16} {:>9} clients: {:>10.3} ms  ({:>12.0} clients/sec)",
             r.backend, r.n_clients, r.elapsed_ms, r.clients_per_sec
         );
     }

@@ -61,6 +61,11 @@ const SCALE_CLIENTS_PER_SEC: &[(&str, u64, f64)] = &[
     ("des", 100_000, 31_511_655.1),
     ("des_faulted_mid", 10_000, 14_564_626.9),
     ("des_faulted_mid", 100_000, 13_354_888.1),
+    // The recorded floors assume the flight recorder keeps the faulted
+    // DES on the replay too; a recorder that forced the exact loop again
+    // (~1.4 M clients/s) fails these rows.
+    ("des_recorded_mid", 10_000, 5_701_576.0),
+    ("des_recorded_mid", 100_000, 5_719_708.0),
 ];
 
 /// Pinned pooled-sweep latencies (milliseconds, `pool_nt_ms`) from

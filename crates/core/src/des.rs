@@ -12,8 +12,8 @@
 
 use crate::columns::{ClassView, TransferColumns};
 use crate::faults::{
-    emit_brownout_fallback, emit_delivered, emit_sample, exact_transfer, ClientClass, FaultPlan,
-    TransferTrace,
+    emit_brownout_fallback, emit_delivered, emit_sample, emit_untagged_brownout_fallback,
+    exact_transfer, ClientClass, FaultPlan, TransferTrace,
 };
 use crate::server::ServerModel;
 use pb_telemetry::trace::{trace_id, SpanCtx, HOP_ARRIVAL, HOP_PROCESS, HOP_TRANSFER};
@@ -177,9 +177,11 @@ fn repeated_sum(value: f64, m: usize) -> f64 {
 /// * **Telemetry**: event counts by type (`des.events.*`), the peak
 ///   uplink queue depth (`des.queue_depth.peak` gauge), the event-queue
 ///   occupancy and horizon histograms (`des.queue.occupancy`,
-///   `des.cycle.horizon_s`), and — when the sink keeps events — one
-///   sim-time-stamped trace record per simulation event plus a
-///   `des.cycle_done` summary.
+///   `des.cycle.horizon_s`), the path taken (`des.fastpath.replayed`
+///   or one `des.fastpath.refused.*` counter, in clients), a
+///   `des.cycle_done` summary when the sink keeps events, and one
+///   sim-time-stamped trace record per simulation event only when it
+///   also keeps trajectories ([`Telemetry::trajectories_recording`]).
 /// * **Causal tags** ([`DesTrace`], active only under
 ///   [`Telemetry::with_tracing`]): each client gets a root
 ///   `trace.sample` span at its arrival instant, the
@@ -205,7 +207,8 @@ pub fn simulate_async_cycle_memoized<R: Rng + ?Sized>(
     let mut arrivals: Vec<f64> = (0..n_clients).map(|_| rng.gen_range(0.0..cycle)).collect();
     sort_arrival_times(&mut arrivals);
     let tag = causal.filter(|_| telemetry.tracing_active());
-    let out = if fast_path_eligible(telemetry, tag.is_some(), server) {
+    let refusal = fast_path_refusal(telemetry, tag.is_some(), server);
+    let out = if refusal.is_none() {
         // Sorted fault-free arrivals are already in pop order with
         // client i at position i — no entry list needed.
         replay_core(n_clients, &arrivals, None, server, memo)
@@ -246,7 +249,7 @@ pub fn simulate_async_cycle_memoized<R: Rng + ?Sized>(
     }
     let mean_latency = if n_clients > 0 { lat_sum / n_clients as f64 } else { 0.0 };
 
-    flush_telemetry(telemetry, n_clients, &out, horizon, server_energy);
+    flush_telemetry(telemetry, n_clients, &out, refusal, horizon, server_energy);
 
     AsyncCycleReport {
         n_clients,
@@ -290,6 +293,7 @@ pub fn simulate_async_cycle_faulted<R: Rng + ?Sized, F: Rng + ?Sized>(
     sort_arrival_times(&mut arrivals);
 
     let tag = causal.filter(|_| telemetry.tracing_active());
+    let recording = telemetry.events_recording();
     let mut attempts = 0u64;
     let mut retries = 0u64;
     let mut fallbacks = 0u64;
@@ -313,6 +317,8 @@ pub fn simulate_async_cycle_faulted<R: Rng + ?Sized, F: Rng + ?Sized>(
                     let global = (dt.base + client) as u64;
                     emit_sample(telemetry, t, tid, global, "brownout");
                     emit_brownout_fallback(telemetry, t, tid, global, dt.fallback_energy_j);
+                } else if recording {
+                    emit_untagged_brownout_fallback(telemetry, t);
                 }
             }
             ClientClass::SensorDropout => {
@@ -353,7 +359,8 @@ pub fn simulate_async_cycle_faulted<R: Rng + ?Sized, F: Rng + ?Sized>(
     // index) — which the clean/divergent merge produces in O(m + d log d)
     // for d divergent clients; the exact loop needs the original push
     // order so its event sequence numbers stay bit-identical.
-    let out = if fast_path_eligible(telemetry, tag.is_some(), server) {
+    let refusal = fast_path_refusal(telemetry, tag.is_some(), server);
+    let out = if refusal.is_none() {
         let (times, clients) = cols.pop_order_columns();
         replay_core(n_clients, &times, Some(&clients), server, memo)
     } else {
@@ -389,7 +396,7 @@ pub fn simulate_async_cycle_faulted<R: Rng + ?Sized, F: Rng + ?Sized>(
         if delivered > 0 { latencies.iter().sum::<f64>() / delivered as f64 } else { 0.0 };
     let max_latency = latencies.iter().copied().fold(0.0, f64::max);
 
-    flush_telemetry(telemetry, n_clients, &out, horizon, server_energy);
+    flush_telemetry(telemetry, n_clients, &out, refusal, horizon, server_energy);
 
     FaultedAsyncReport {
         report: AsyncCycleReport {
@@ -439,9 +446,6 @@ struct LoopOutcome {
     n_arrivals: u64,
     n_transfers: u64,
     n_processed: u64,
-    /// Clients whose trajectory the shape-memoized fast path replayed
-    /// (0 when the exact event loop ran).
-    replayed: u64,
 }
 
 /// The slotted accounting's energy model over an asynchronous horizon:
@@ -455,13 +459,48 @@ fn energy_over(server: &ServerModel, horizon: f64, receive_busy: f64, process_bu
         + process_delta * Seconds(process_busy)
 }
 
-/// True when a cycle may take the shape-memoized replay instead of the
-/// exact event loop. Recording sinks and causal tags force the exact
-/// path: the replay produces no per-event records, and span chains must
-/// follow the real pop sequence. (`max_parallel == 0` starves the
-/// uplink forever — a degenerate shape the recurrence does not model.)
-fn fast_path_eligible(telemetry: &Telemetry, tagged: bool, server: &ServerModel) -> bool {
-    !(telemetry.events_recording() || tagged || server.max_parallel == 0)
+/// Why a cycle took the exact event loop instead of the shape-memoized
+/// replay. Each refused cycle counts its participating clients under
+/// one `des.fastpath.refused.*` counter, the mirror of
+/// `des.fastpath.replayed`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Refusal {
+    /// `max_parallel == 0` starves the uplink forever — a degenerate
+    /// shape the recurrence does not model.
+    NoSlots,
+    /// Causal tags: span chains must follow the real pop sequence.
+    Tagged,
+    /// A trace-export sink wants every per-event trajectory record,
+    /// which the replay does not build.
+    Recording,
+}
+
+impl Refusal {
+    fn counter(self) -> &'static str {
+        match self {
+            Refusal::NoSlots => "des.fastpath.refused.no_slots",
+            Refusal::Tagged => "des.fastpath.refused.tagged",
+            Refusal::Recording => "des.fastpath.refused.recording",
+        }
+    }
+}
+
+/// `None` when a cycle may take the shape-memoized replay, else the
+/// reason it may not. When several hold, the one that would remain
+/// after switching off the others is reported: no slots, then tags,
+/// then recording. Sinks that keep events but no trajectories (the
+/// flight recorder) do not refuse: everything they receive comes from
+/// the fault pre-pass and the cycle summary, which run on both paths.
+fn fast_path_refusal(telemetry: &Telemetry, tagged: bool, server: &ServerModel) -> Option<Refusal> {
+    if server.max_parallel == 0 {
+        Some(Refusal::NoSlots)
+    } else if tagged {
+        Some(Refusal::Tagged)
+    } else if telemetry.trajectories_recording() {
+        Some(Refusal::Recording)
+    } else {
+        None
+    }
 }
 
 /// Per-worker scratch for [`replay_core`]: the intermediate per-entry
@@ -683,16 +722,17 @@ fn replay_core(
             n_arrivals: m as u64,
             n_transfers: m as u64,
             n_processed: m as u64,
-            replayed: m as u64,
         }
     })
 }
 
 /// The exact event-by-event loop (the historical hot path; now the
-/// recording/traced path and the fast path's reference).
+/// trajectory-recording/traced path and the fast path's reference).
 ///
 /// Events pop from a min-heap in [`EventKey`] order: time ascending,
-/// ties in push order.
+/// ties in push order. Per-event `des.*` records are built only for a
+/// sink that keeps trajectories or a tagged run; any other sink, the
+/// flight recorder included, gets none from here.
 fn exact_event_loop(
     n_clients: usize,
     entries: &[(f64, usize)],
@@ -732,7 +772,7 @@ fn exact_event_loop(
 
     // Event counts stay in locals during the loop; they flush into the
     // registry once at the end so the hot path pays no atomic traffic.
-    let trace_events = telemetry.events_recording();
+    let trace_events = telemetry.trajectories_recording() || links.is_some();
     let mut n_arrivals = 0u64;
     let mut n_transfers = 0u64;
     let mut n_processed = 0u64;
@@ -847,12 +887,12 @@ fn exact_event_loop(
         n_arrivals,
         n_transfers,
         n_processed,
-        replayed: 0,
     }
 }
 
-/// Mirrors one cycle's event counts, queue peaks, horizon and — when
-/// the sink keeps events — the `des.cycle_done` summary into telemetry.
+/// Mirrors one cycle's event counts, the path it took (replayed, or
+/// refused and why), queue peaks, horizon and — when the sink keeps
+/// events — the `des.cycle_done` summary into telemetry.
 ///
 /// The event queue's occupancy peak is the arrival count on both paths:
 /// every arrival is pushed before the first pop, and a client never has
@@ -861,6 +901,7 @@ fn flush_telemetry(
     telemetry: &Telemetry,
     n_clients: usize,
     out: &LoopOutcome,
+    refusal: Option<Refusal>,
     horizon: f64,
     server_energy: Joules,
 ) {
@@ -870,8 +911,10 @@ fn flush_telemetry(
     telemetry.add_to_counter("des.events.arrival", out.n_arrivals);
     telemetry.add_to_counter("des.events.transfer_done", out.n_transfers);
     telemetry.add_to_counter("des.events.process_done", out.n_processed);
-    if out.replayed > 0 {
-        telemetry.add_to_counter("des.fastpath.replayed", out.replayed);
+    // Both paths see every participating client arrive exactly once.
+    if out.n_arrivals > 0 {
+        let path = refusal.map_or("des.fastpath.replayed", Refusal::counter);
+        telemetry.add_to_counter(path, out.n_arrivals);
     }
     if let Some(r) = telemetry.registry() {
         r.gauge("des.queue_depth.peak").set_max(out.peak_queue as f64);

@@ -605,6 +605,18 @@ pub(crate) fn emit_brownout_fallback(
     );
 }
 
+/// The untagged `fault.fallback` for a browned-out client, emitted
+/// whenever events are recorded without causal tags: every brown-out is
+/// a flight-recorder dump trigger, traced or not. Same `t0`/`attempts`/
+/// `cause` fields as the tagged form, without the span and attribution.
+pub(crate) fn emit_untagged_brownout_fallback(telemetry: &Telemetry, t: f64) {
+    telemetry.event(
+        t,
+        "fault.fallback",
+        vec![("t0", t.into()), ("attempts", 0u64.into()), ("cause", "brownout".into())],
+    );
+}
+
 /// Mirrors a cycle's fault accounting into the `fault.*` counters.
 pub(crate) fn publish_stats(telemetry: &Telemetry, stats: &FaultStats) {
     if !telemetry.is_enabled() {
@@ -725,6 +737,7 @@ pub(crate) fn timeline_with_faults(
     // Causal tagging is opt-in (`Telemetry::with_tracing`): without it
     // the event stream stays byte-identical to the untagged shape.
     let causal = telemetry.tracing_active();
+    let recording = telemetry.events_recording();
     let trace_seed = ctx.point_seed(n_clients as u64);
 
     let mut stats = FaultStats {
@@ -760,6 +773,8 @@ pub(crate) fn timeline_with_faults(
                                 idx as u64,
                                 fallback_cost.value(),
                             );
+                        } else if recording {
+                            emit_untagged_brownout_fallback(telemetry, t0.value());
                         }
                     }
                     ClientClass::SensorDropout => {

@@ -167,6 +167,17 @@ pub trait EventSink: Send + Sync + fmt::Debug {
     fn is_recording(&self) -> bool {
         true
     }
+
+    /// True when the sink wants every per-event simulation trajectory —
+    /// the DES's `des.{arrival,transfer_done,process_done}` records —
+    /// and not only the events the fault pre-pass and the cycle summary
+    /// emit. Only then does the DES leave its O(m) replay for the exact
+    /// event loop, since the replay builds no per-event records. The
+    /// default is `false`: a sink keeps what reaches it, and trace
+    /// exports opt in ([`BufferSink`], [`RingBufferSink`]).
+    fn keeps_trajectories(&self) -> bool {
+        false
+    }
 }
 
 /// Drops every event; [`EventSink::is_recording`] is false, so guarded
@@ -215,6 +226,10 @@ impl EventSink for BufferSink {
     fn len(&self) -> usize {
         self.events.lock().expect("event buffer poisoned").len()
     }
+
+    fn keeps_trajectories(&self) -> bool {
+        true
+    }
 }
 
 /// Keeps only the most recent `capacity` events — bounded memory for
@@ -253,6 +268,10 @@ impl EventSink for RingBufferSink {
 
     fn len(&self) -> usize {
         self.events.lock().expect("event ring poisoned").len()
+    }
+
+    fn keeps_trajectories(&self) -> bool {
+        true
     }
 }
 
@@ -324,7 +343,7 @@ mod tests {
         }
         assert_eq!(sink.len(), 5);
         assert!(!sink.is_empty());
-        assert!(sink.is_recording());
+        assert!(sink.is_recording() && sink.keeps_trajectories());
         let events = sink.events();
         assert_eq!(events[0].seq, 0);
         assert_eq!(events[4].seq, 4);
@@ -334,6 +353,7 @@ mod tests {
     fn ring_sink_keeps_only_the_tail() {
         let sink = RingBufferSink::new(3);
         assert_eq!(sink.capacity(), 3);
+        assert!(sink.keeps_trajectories());
         for i in 0..10 {
             sink.record(event(i as f64, i));
         }
@@ -347,7 +367,7 @@ mod tests {
         let sink = NoopSink;
         sink.record(event(0.0, 0));
         assert!(sink.is_empty());
-        assert!(!sink.is_recording());
+        assert!(!sink.is_recording() && !sink.keeps_trajectories());
     }
 
     #[test]

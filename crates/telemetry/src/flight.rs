@@ -33,9 +33,19 @@
 //! Recording an event costs two relaxed atomic increments (the
 //! telemetry sequence number and the ordinal), one uncontended lock and
 //! a move into the chunk; the event's kind is a `'static` literal, so
-//! nothing is allocated for it. What a recorded sweep still pays over
-//! `--no-flight` is the exact event loop a recording sink forces and the
-//! construction of each event's fields.
+//! nothing is allocated for it.
+//!
+//! # What reaches the recorder
+//!
+//! The recorder keeps the default [`EventSink::keeps_trajectories`]
+//! (`false`): it receives every `fault.*`, `anomaly.*` and `trace.*`
+//! event and each `des.cycle_done` summary, but no per-event DES
+//! trajectory (`des.{arrival,transfer_done,process_done}`). Those
+//! records never trigger a dump and would only churn the info ring, and
+//! building them would force the DES off its O(m) replay. A recorded
+//! sweep therefore replays like an unrecorded one; what it still pays
+//! over `--no-flight` is building and storing the fault events the
+//! pre-pass emits.
 
 use crate::events::{Event, EventSink};
 use std::borrow::Cow;
@@ -365,6 +375,10 @@ impl EventSink for Arc<FlightRecorderSink> {
     fn is_recording(&self) -> bool {
         self.as_ref().is_recording()
     }
+
+    fn keeps_trajectories(&self) -> bool {
+        self.as_ref().keeps_trajectories()
+    }
 }
 
 #[cfg(test)]
@@ -460,6 +474,7 @@ mod tests {
         let sink: Box<dyn EventSink> = Box::new(Arc::clone(&arc));
         sink.record(ev(0.0, 0, "fault.fallback"));
         assert!(sink.is_recording());
+        assert!(!sink.keeps_trajectories(), "the recorder takes no DES trajectories");
         assert_eq!(sink.len(), 1);
         assert_eq!(arc.triggers_fired(), 1);
     }

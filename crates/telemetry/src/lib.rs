@@ -160,6 +160,15 @@ impl Telemetry {
         self.inner.as_ref().is_some_and(|i| i.sink.is_recording())
     }
 
+    /// True when events reach a sink that also keeps per-event
+    /// simulation trajectories ([`EventSink::keeps_trajectories`]): a
+    /// trace export, not the flight recorder. The DES gates its exact
+    /// event loop and its `des.*` trajectory records on this.
+    #[inline]
+    pub fn trajectories_recording(&self) -> bool {
+        self.inner.as_ref().is_some_and(|i| i.sink.is_recording() && i.sink.keeps_trajectories())
+    }
+
     /// The metrics registry, when enabled. Hot paths resolve handles once
     /// through this and store them instead of looking names up per call.
     #[inline]
@@ -345,6 +354,16 @@ mod tests {
         assert!(tel.events().is_empty());
         tel.add_to_counter("kept", 1);
         assert_eq!(tel.snapshot().counter("kept"), Some(1));
+    }
+
+    #[test]
+    fn only_trace_export_sinks_keep_trajectories() {
+        assert!(Telemetry::enabled().trajectories_recording());
+        assert!(Telemetry::ring(4).trajectories_recording());
+        assert!(!Telemetry::disabled().trajectories_recording());
+        assert!(!Telemetry::metrics_only().trajectories_recording());
+        let recorder = Telemetry::with_sink(Box::new(FlightRecorderSink::new(4)));
+        assert!(recorder.events_recording() && !recorder.trajectories_recording());
     }
 
     #[test]

@@ -107,9 +107,9 @@ fn usage() {
     println!("                                  --faults without --trace records into a");
     println!("                                  bounded flight recorder that dumps FILE");
     println!("                                  (default pb-flight.jsonl) on anomalies;");
-    println!("                                  --no-flight opts out (keeps the DES on");
-    println!("                                  its memoized fast path: recording forces");
-    println!("                                  the exact event loop, not a shared lock);");
+    println!("                                  --no-flight opts out (skips recording");
+    println!("                                  the fault events; the DES replays either");
+    println!("                                  way, the recorder takes no trajectories);");
     println!("                                  --chrome exports a Perfetto-loadable");
     println!("                                  span view, --openmetrics the metrics");
     println!("  trace FILE [--top K] [--chrome FILE]");
@@ -273,11 +273,10 @@ fn sweep(flags: &HashMap<String, String>) {
     // sweeps without an explicit trace default to the bounded flight
     // recorder, which auto-dumps a post-mortem JSONL on anomalies
     // (brown-out, retry exhaustion, conservation mismatch). The
-    // recorder shards per worker, so it does not serialise the pool;
-    // its remaining cost is that any recording sink forces the DES off
-    // its shape-memoized fast path (events must be observable in order)
-    // and builds every event, so `--no-flight` opts out for
-    // throughput-sensitive runs.
+    // recorder shards per worker, so it does not serialise the pool,
+    // and it keeps no per-event DES trajectories, so the DES stays on
+    // its shape-memoized replay. Its remaining cost is building and
+    // storing the fault events; `--no-flight` skips only that.
     let wants_events = trace_path.is_some() || chrome_path.is_some();
     let flight = if !fault_plan.is_none() && !wants_events && !flags.contains_key("no-flight") {
         Some(std::sync::Arc::new(

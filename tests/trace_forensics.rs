@@ -286,6 +286,31 @@ fn flight_recorder_dumps_a_parseable_post_mortem_on_fallback() {
 }
 
 #[test]
+fn brownouts_trip_the_flight_recorder_without_causal_tags() {
+    init_pool();
+    let plan = plan_with(|p| p.brownout = Some(Brownout { probability: 0.2 }));
+    for backend in [Backend::Des, Backend::EventTimeline] {
+        let dump = std::env::temp_dir()
+            .join(format!("pb-flight-brownout-{backend}-{}.jsonl", std::process::id()));
+        let dump_path = dump.to_str().expect("utf-8 temp path").to_string();
+        let _ = std::fs::remove_file(&dump);
+
+        let recorder =
+            std::sync::Arc::new(FlightRecorderSink::new(4096).with_auto_dump(dump_path, 1));
+        let tel = Telemetry::with_sink(Box::new(std::sync::Arc::clone(&recorder)));
+        let ctx = SimContext::with_telemetry(9, tel).with_fault_plan(plan);
+        let r = backend.evaluate(&paper_spec(10), 1000, &ctx);
+        assert!(r.faults.brownouts > 0, "{backend}: the plan must bite");
+
+        assert_eq!(recorder.triggers_fired(), r.faults.brownouts, "{backend}: one per brown-out");
+        assert_eq!(recorder.dumps_written(), 1, "{backend}: the first brown-out dumps");
+        let dumped = std::fs::read_to_string(&dump).expect("dump file written");
+        assert!(dumped.contains("\"cause\":\"brownout\""), "{backend}: {dumped}");
+        let _ = std::fs::remove_file(&dump);
+    }
+}
+
+#[test]
 fn exporters_cover_the_causal_sweep() {
     let plan = plan_with(|p| {
         p.outage = Some(OutageWindow::new(Seconds(0.0), Seconds(144.0)));
