@@ -64,8 +64,8 @@ const SCALE_CLIENTS_PER_SEC: &[(&str, u64, f64)] = &[
     // The recorded floors assume the flight recorder keeps the faulted
     // DES on the replay too; a recorder that forced the exact loop again
     // (~1.4 M clients/s) fails these rows.
-    ("des_recorded_mid", 10_000, 5_701_576.0),
-    ("des_recorded_mid", 100_000, 5_719_708.0),
+    ("des_recorded_mid", 10_000, 8_961_448.7),
+    ("des_recorded_mid", 100_000, 8_355_393.7),
 ];
 
 /// Pinned pooled-sweep latencies (milliseconds, `pool_nt_ms`) from

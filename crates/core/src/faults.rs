@@ -492,12 +492,11 @@ pub(crate) fn exact_transfer<R: Rng + ?Sized>(
         saw_drop |= dropped;
         if trace {
             let kind = if in_outage { "fault.outage" } else { "fault.packet_drop" };
-            let fields = vec![("attempt", (attempt as usize + 1).into())];
+            let number = ("attempt", (attempt as usize + 1).into());
             match causal {
-                None => telemetry.event(t, kind, fields),
+                None => telemetry.event(t, kind, [number]),
                 Some(tc) => {
-                    let mut fields = fields;
-                    fields.push(("client", tc.client.into()));
+                    let fields = [number, ("client", tc.client.into())];
                     telemetry.trace_event(t, kind, SpanCtx::attempt(tc.trace, attempt + 1), fields);
                 }
             }
@@ -507,13 +506,15 @@ pub(crate) fn exact_transfer<R: Rng + ?Sized>(
         }
         t += plan.retry.backoff(attempt + 1, rng).value();
         if trace {
-            let fields = vec![("attempt", (attempt as usize + 2).into())];
+            let number = ("attempt", (attempt as usize + 2).into());
             match causal {
-                None => telemetry.event(t, "fault.retry", fields),
+                None => telemetry.event(t, "fault.retry", [number]),
                 Some(tc) => {
-                    let mut fields = fields;
-                    fields.push(("client", tc.client.into()));
-                    fields.push(("energy_j", tc.retry_energy_j.into()));
+                    let fields = [
+                        number,
+                        ("client", tc.client.into()),
+                        ("energy_j", tc.retry_energy_j.into()),
+                    ];
                     let span = SpanCtx::attempt(tc.trace, attempt + 2);
                     telemetry.trace_event(t, "fault.retry", span, fields);
                 }
@@ -521,20 +522,22 @@ pub(crate) fn exact_transfer<R: Rng + ?Sized>(
         }
     }
     if trace {
-        let fields = vec![("t0", t0.value().into())];
+        let start = ("t0", t0.value().into());
         match causal {
-            None => telemetry.event(t, "fault.fallback", fields),
+            None => telemetry.event(t, "fault.fallback", [start]),
             Some(tc) => {
                 let cause = match (saw_outage, saw_drop) {
                     (true, true) => "mixed",
                     (true, false) => "outage",
                     _ => "packet-loss",
                 };
-                let mut fields = fields;
-                fields.push(("client", tc.client.into()));
-                fields.push(("attempts", u64::from(max + 1).into()));
-                fields.push(("cause", cause.into()));
-                fields.push(("energy_j", tc.fallback_energy_j.into()));
+                let fields = [
+                    start,
+                    ("client", tc.client.into()),
+                    ("attempts", u64::from(max + 1).into()),
+                    ("cause", cause.into()),
+                    ("energy_j", tc.fallback_energy_j.into()),
+                ];
                 let span = SpanCtx::attempt(tc.trace, max + 1).child(HOP_TERMINAL);
                 telemetry.trace_event(t, "fault.fallback", span, fields);
             }

@@ -150,8 +150,8 @@ impl EnergyLedger {
                     t,
                     "energy.ledger",
                     vec![
-                        ("scope", scope.into()),
-                        ("task", e.task.as_str().into()),
+                        ("scope", scope.to_string().into()),
+                        ("task", e.task.clone().into()),
                         ("energy_j", e.energy.value().into()),
                         ("time_s", e.time.value().into()),
                     ],

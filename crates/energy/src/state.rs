@@ -168,7 +168,7 @@ impl StateMachine {
                     self.clock.value(),
                     "power.dwell",
                     vec![
-                        ("state", state.label().into()),
+                        ("state", state.label().to_string().into()),
                         ("power_w", power.value().into()),
                         ("duration_s", duration.value().into()),
                         ("energy_j", energy.value().into()),

@@ -4,6 +4,12 @@
 //! serialized as one JSON object per line (JSONL). Sinks decide what
 //! happens to recorded events: kept unbounded ([`BufferSink`]), kept
 //! bounded ([`RingBufferSink`]) or dropped ([`NoopSink`]).
+//!
+//! Building an event allocates nothing on the common path: the kind is
+//! a `'static` literal, a one-field event keeps its field inline
+//! ([`Fields`]), and constant text values borrow their literal
+//! ([`Value::Str`]). JSON is rendered only by the exporters and the
+//! flight recorder's dump.
 
 use crate::json;
 use std::borrow::Cow;
@@ -23,8 +29,10 @@ pub enum Value {
     F64(f64),
     /// Boolean.
     Bool(bool),
-    /// String.
-    Str(String),
+    /// String. Constant text (`"brownout"`, a state label) borrows its
+    /// `'static` literal, so the value allocates nothing; text built at
+    /// run time arrives as a `String` and is owned.
+    Str(Cow<'static, str>),
     /// A 64-bit trace/span id, serialized as a quoted 16-digit hex
     /// string (the JSONL layer parses numbers as `f64`, which cannot
     /// hold a full `u64` exactly). Storing the raw id keeps the hot
@@ -63,15 +71,15 @@ impl From<bool> for Value {
     }
 }
 
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+impl From<&'static str> for Value {
+    fn from(v: &'static str) -> Self {
+        Value::Str(Cow::Borrowed(v))
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(Cow::Owned(v))
     }
 }
 
@@ -101,6 +109,96 @@ impl Value {
     }
 }
 
+/// One named field of an event.
+type Field = (&'static str, Value);
+
+/// An event's extra fields: a small list that keeps one field inline and
+/// spills two or more to a `Vec`.
+///
+/// Most hot-path events (`fault.retry`, `fault.outage`,
+/// `fault.packet_drop`, `fault.fallback`) carry exactly one field, so
+/// recording them allocates nothing. `Fields` derefs to
+/// `[(&'static str, Value)]`, and its `Debug` and `PartialEq` are the
+/// slice's: an event prints and compares exactly as it did when its
+/// fields were a `Vec`. Build one from an array (`[("attempt",
+/// 1u64.into())]`, no allocation for up to one field) or from a `Vec`.
+#[derive(Clone, Default)]
+pub struct Fields(Repr);
+
+#[derive(Clone, Default)]
+enum Repr {
+    #[default]
+    Empty,
+    One(Field),
+    Many(Vec<Field>),
+}
+
+impl Fields {
+    /// Appends a field; a second field spills the list to the heap.
+    pub fn push(&mut self, field: Field) {
+        self.0 = match std::mem::take(&mut self.0) {
+            Repr::Empty => Repr::One(field),
+            Repr::One(first) => Repr::Many(vec![first, field]),
+            Repr::Many(mut all) => {
+                all.push(field);
+                Repr::Many(all)
+            }
+        };
+    }
+}
+
+impl std::ops::Deref for Fields {
+    type Target = [Field];
+
+    fn deref(&self) -> &[Field] {
+        match &self.0 {
+            Repr::Empty => &[],
+            Repr::One(field) => std::slice::from_ref(field),
+            Repr::Many(all) => all,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Fields {
+    type Item = &'a Field;
+    type IntoIter = std::slice::Iter<'a, Field>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Fields {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl PartialEq for Fields {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl From<Vec<Field>> for Fields {
+    fn from(mut all: Vec<Field>) -> Self {
+        Fields(match all.len() {
+            0 => Repr::Empty,
+            1 => Repr::One(all.pop().expect("one field")),
+            _ => Repr::Many(all),
+        })
+    }
+}
+
+impl<const N: usize> From<[Field; N]> for Fields {
+    fn from(fields: [Field; N]) -> Self {
+        if N > 1 {
+            return Fields(Repr::Many(Vec::from(fields)));
+        }
+        Fields(fields.into_iter().next().map_or(Repr::Empty, Repr::One))
+    }
+}
+
 /// One sim-time-stamped record of the event log.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Event {
@@ -115,7 +213,7 @@ pub struct Event {
     /// e.g. parsed back from JSONL) is `Cow::Owned`.
     pub kind: Cow<'static, str>,
     /// Extra fields, flattened into the JSONL object.
-    pub fields: Vec<(&'static str, Value)>,
+    pub fields: Fields,
 }
 
 impl Event {
@@ -164,6 +262,9 @@ pub trait EventSink: Send + Sync + fmt::Debug {
 
     /// True when recorded events are actually kept. Callers use this to
     /// skip building field vectors for sinks that drop everything.
+    /// [`crate::Telemetry`] reads it once, when the handle is built, so
+    /// the answer must not change over the sink's lifetime; the same
+    /// holds for [`EventSink::keeps_trajectories`].
     fn is_recording(&self) -> bool {
         true
     }
@@ -285,7 +386,7 @@ mod tests {
             t_sim: t,
             seq,
             kind: "test".into(),
-            fields: vec![("n", 3usize.into()), ("ok", true.into())],
+            fields: vec![("n", 3usize.into()), ("ok", true.into())].into(),
         }
     }
 
@@ -301,7 +402,8 @@ mod tests {
                 ("soc", 0.5f64.into()),
                 ("label", "a \"quoted\"\nname".into()),
                 ("nan", f64::NAN.into()),
-            ],
+            ]
+            .into(),
         };
         let parsed = parse(&e.to_json()).expect("valid JSON");
         assert_eq!(parsed.get("t").and_then(Json::as_f64), Some(12.5));
@@ -321,7 +423,7 @@ mod tests {
             t_sim: 1.0,
             seq: 0,
             kind: "trace.sample".into(),
-            fields: vec![("trace", Value::Hex(id)), ("zero", Value::Hex(0))],
+            fields: vec![("trace", Value::Hex(id)), ("zero", Value::Hex(0))].into(),
         };
         let json = e.to_json();
         // Byte-identical to the historical pre-rendered form.
@@ -333,6 +435,27 @@ mod tests {
         let mut buf = String::from("x");
         e.write_json(&mut buf);
         assert_eq!(&buf[1..], json);
+    }
+
+    #[test]
+    fn fields_print_and_compare_as_their_slice() {
+        let one: Fields = [("attempt", Value::U64(1))].into();
+        let from_vec: Fields = vec![("attempt", Value::U64(1))].into();
+        assert_eq!(one, from_vec);
+        assert_eq!(format!("{one:?}"), format!("{:?}", vec![("attempt", Value::U64(1))]));
+        assert!(Fields::default().is_empty());
+
+        let mut grown = one.clone();
+        grown.push(("client", Value::U64(7)));
+        grown.push(("cause", "outage".into()));
+        let expect = vec![
+            ("attempt", Value::U64(1)),
+            ("client", Value::U64(7)),
+            ("cause", Value::from(String::from("outage"))),
+        ];
+        assert_eq!(&*grown, &expect[..], "a borrowed string equals an owned one");
+        assert_eq!(format!("{grown:?}"), format!("{expect:?}"));
+        assert_eq!(Fields::from(expect), grown);
     }
 
     #[test]

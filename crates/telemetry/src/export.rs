@@ -306,7 +306,7 @@ mod tests {
             t_sim: t,
             seq,
             kind: kind.to_string().into(),
-            fields: vec![("trace", hex(trace).into()), ("client", 3u64.into())],
+            fields: vec![("trace", hex(trace).into()), ("client", 3u64.into())].into(),
         }
     }
 
@@ -316,7 +316,7 @@ mod tests {
         let events = vec![
             traced_event(0.0, 0, "trace.sample", trace),
             traced_event(30.0, 1, "fault.fallback", trace),
-            Event { t_sim: 5.0, seq: 2, kind: "des.cycle_done".into(), fields: vec![] },
+            Event { t_sim: 5.0, seq: 2, kind: "des.cycle_done".into(), fields: vec![].into() },
         ];
         let text = chrome_trace(&events);
         let parsed = json::parse(&text).expect("valid JSON");

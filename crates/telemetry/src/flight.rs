@@ -18,22 +18,33 @@
 //! shard: a worker locks only its own shard, and frees only events it
 //! built itself.
 //!
-//! "Most recent" is decided by a per-severity recording ordinal (one
-//! atomic counter each), not by which worker won a lock: an event is
-//! retained iff its ordinal is among the last `N` handed out for its
-//! severity. On one thread this is exactly a ring of `N` per severity.
-//! A ring stores its events in chunks of `CHUNK` (64) and drops a chunk
-//! whole once its newest event has left the window; readers filter the
-//! rest by the same window. While every shard keeps recording, it holds
-//! at most one partly stale chunk, so storage stays near `N` per severity
-//! rather than `N` per shard. A shard whose thread stopped recording
-//! keeps what was in the window when it stopped: the worst case is
-//! `SHARDS × (N + CHUNK)` events per severity.
+//! Recording writes nothing that another shard's worker writes: each
+//! ring keeps its own last `N` events, and the recorder-wide window is
+//! cut only when it is read. A ring stores its events in chunks of
+//! `CHUNK` (64), recycled through one spare chunk, and drops its front
+//! chunk whole once the chunks behind it hold `N` events on their own.
+//! [`EventSink::events`] and the dump merge every shard's rings and keep,
+//! per severity, the `N` events with the highest `seq`, the recording
+//! order [`crate::Telemetry`] stamps on every event. Each shard holds at
+//! least its own last `N`, so the merge always finds the window, and
+//! [`FlightRecorderSink::len_by_severity`] is exactly
+//! `min(N, events stored)`. (When more than `SHARDS` threads record,
+//! some share a shard. A thread preempted between drawing its `seq` and
+//! recording then lands behind its neighbour's newer events, and the
+//! shard may drop one of its oldest in-window events early; the read
+//! still returns `N` events.)
 //!
-//! Recording an event costs two relaxed atomic increments (the
-//! telemetry sequence number and the ordinal), one uncontended lock and
-//! a move into the chunk; the event's kind is a `'static` literal, so
-//! nothing is allocated for it.
+//! Memory: every ring holds fewer than `N + CHUNK` events. A run that
+//! records from `k` shards holds up to `k × (N + CHUNK)` events per
+//! severity, and the worst case, every shard recording, is
+//! `SHARDS × (N + CHUNK)`.
+//!
+//! Recording an event costs one uncontended lock and a move into the
+//! chunk. It allocates nothing in steady state: the event's kind is a
+//! `'static` literal, a one-field event carries its field inline, and
+//! chunks are reused. The only shared write on the path is the
+//! telemetry sequence number; a trigger event also reads the dump
+//! budget.
 //!
 //! # What reaches the recorder
 //!
@@ -54,13 +65,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of recording shards. Threads beyond this share shards
-/// round-robin, which costs contention, never correctness.
-const SHARDS: usize = 8;
+/// round-robin, which costs contention and memory, not the window's size.
+pub const SHARDS: usize = 8;
 
 /// Events per storage chunk: the unit in which a ring frees memory.
-/// Small, because each recording ring may hold one partly stale chunk;
-/// large enough that rotating chunks is rare next to recording events.
-const CHUNK: usize = 64;
+/// Small, because each recording ring may hold one chunk beyond its
+/// window; large enough that rotating chunks is rare next to recording
+/// events.
+pub const CHUNK: usize = 64;
 
 /// Event severity, classified from the event kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,9 +111,10 @@ impl Severity {
 /// True when an event kind should trip a post-mortem dump: retry
 /// exhaustion / brown-out fallbacks (`fault.fallback`, including
 /// `cause=brownout`) and every `anomaly.*` kind (e.g. the
-/// `anomaly.conservation` mismatch emitted by `pb sweep`).
+/// `anomaly.conservation` mismatch emitted by `pb sweep`): the
+/// [`Severity::Error`] kinds.
 pub fn is_trigger(kind: &str) -> bool {
-    kind == "fault.fallback" || kind.starts_with("anomaly.")
+    Severity::classify(kind) == Severity::Error
 }
 
 /// The shard the calling thread records into, fixed for its lifetime.
@@ -113,65 +126,54 @@ fn shard_index() -> usize {
     SHARD.with(|s| *s)
 }
 
-/// Up to [`CHUNK`] events of one severity, each with its ordinal.
-#[derive(Debug)]
-struct Chunk {
-    /// Highest ordinal in the chunk: the chunk leaves the window with it.
-    newest: u64,
-    events: Vec<(u64, Event)>,
+/// Locks a mutex, shrugging off poisoning: a panicking writer leaves the
+/// stored events valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One severity's events within one shard, oldest chunk first.
+/// One severity's events within one shard, oldest chunk first, in the
+/// order the shard recorded them.
 #[derive(Debug, Default)]
 struct Ring {
-    chunks: VecDeque<Chunk>,
+    chunks: VecDeque<Vec<Event>>,
+    /// Events held across `chunks`.
+    stored: usize,
     /// An emptied chunk kept for reuse, so a ring in steady state
     /// allocates no chunks.
-    spare: Option<Chunk>,
+    spare: Option<Vec<Event>>,
 }
 
 impl Ring {
-    /// Drops the chunks wholly older than `floor`, then appends.
-    fn push(&mut self, ordinal: u64, event: Event, floor: u64) {
-        while self.chunks.front().is_some_and(|c| c.newest < floor) {
-            let mut stale = self.chunks.pop_front().expect("front chunk exists");
-            stale.events.clear();
-            stale.newest = 0;
-            self.spare = Some(stale);
-        }
-        if self.chunks.back().is_none_or(|c| c.events.len() == CHUNK) {
-            let chunk = self
-                .spare
-                .take()
-                .unwrap_or_else(|| Chunk { newest: 0, events: Vec::with_capacity(CHUNK) });
+    /// Appends, then drops the front chunk once the chunks behind it
+    /// hold the last `n` events without it.
+    fn push(&mut self, event: Event, n: usize) {
+        if self.chunks.back().is_none_or(|c| c.len() == CHUNK) {
+            let chunk = self.spare.take().unwrap_or_else(|| Vec::with_capacity(CHUNK));
             self.chunks.push_back(chunk);
         }
-        let chunk = self.chunks.back_mut().expect("back chunk exists");
-        chunk.newest = chunk.newest.max(ordinal);
-        chunk.events.push((ordinal, event));
+        self.chunks.back_mut().expect("back chunk exists").push(event);
+        self.stored += 1;
+        let front = self.chunks.front().map_or(0, Vec::len);
+        if self.stored - front >= n {
+            let mut stale = self.chunks.pop_front().expect("front chunk exists");
+            self.stored -= stale.len();
+            stale.clear();
+            self.spare = Some(stale);
+        }
     }
 
-    /// The stored events whose ordinal is at least `floor`.
-    fn retained(&self, floor: u64) -> impl Iterator<Item = &Event> {
-        self.chunks
-            .iter()
-            .flat_map(|c| &c.events)
-            .filter(move |(ordinal, _)| *ordinal >= floor)
-            .map(|(_, e)| e)
-    }
-
-    /// Events held in memory, in or out of the window.
-    #[cfg(test)]
-    fn stored(&self) -> usize {
-        self.chunks.iter().map(|c| c.events.len()).sum()
+    fn iter(&self) -> impl Iterator<Item = &Event> {
+        self.chunks.iter().flatten()
     }
 }
 
 #[derive(Debug, Default)]
 struct Shard {
     rings: [Ring; 3],
-    /// The latest trigger recorded through this shard, numbered by the
-    /// recorder-wide trigger count.
+    /// Trigger events recorded through this shard.
+    triggers: u64,
+    /// The highest-`seq` trigger recorded through this shard.
     last_trigger: Option<(u64, Cow<'static, str>)>,
 }
 
@@ -181,10 +183,15 @@ struct Shard {
 #[repr(align(128))]
 struct CacheLine<T>(T);
 
-impl CacheLine<Mutex<Shard>> {
-    fn lock(&self) -> MutexGuard<'_, Shard> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+/// What the auto-dump has done so far.
+#[derive(Debug, Default)]
+struct DumpLog {
+    /// Post-mortems written successfully.
+    written: u64,
+    /// Kind of the trigger behind the post-mortem on disk.
+    cause: Option<Cow<'static, str>>,
+    /// The first failed write.
+    error: Option<std::io::Error>,
 }
 
 /// A bounded per-severity event recorder with anomaly-triggered JSONL
@@ -192,15 +199,14 @@ impl CacheLine<Mutex<Shard>> {
 #[derive(Debug)]
 pub struct FlightRecorderSink {
     per_severity: usize,
-    /// Events recorded so far per severity: the next recording ordinal.
-    /// Relaxed suffices: a writer increments before it locks its shard,
-    /// and readers load the counters while holding every shard lock.
-    recorded: [CacheLine<AtomicU64>; 3],
     shards: [CacheLine<Mutex<Shard>>; SHARDS],
     dump_path: Option<String>,
     max_dumps: u64,
-    dumps: AtomicU64,
-    triggers: AtomicU64,
+    /// Dump slots taken: a trigger writes a post-mortem only while this
+    /// is below `max_dumps`, so past the budget triggers only read it.
+    dump_attempts: AtomicU64,
+    /// Held across each write, so the log describes the file on disk.
+    dumps: Mutex<DumpLog>,
 }
 
 impl FlightRecorderSink {
@@ -213,12 +219,11 @@ impl FlightRecorderSink {
         assert!(per_severity > 0, "flight recorder capacity must be positive");
         FlightRecorderSink {
             per_severity,
-            recorded: Default::default(),
             shards: Default::default(),
             dump_path: None,
             max_dumps: 0,
-            dumps: AtomicU64::new(0),
-            triggers: AtomicU64::new(0),
+            dump_attempts: AtomicU64::new(0),
+            dumps: Mutex::default(),
         }
     }
 
@@ -231,22 +236,40 @@ impl FlightRecorderSink {
         self
     }
 
+    fn lock_shards(&self) -> Vec<MutexGuard<'_, Shard>> {
+        self.shards.iter().map(|s| lock(&s.0)).collect()
+    }
+
     /// Number of trigger events observed so far.
     pub fn triggers_fired(&self) -> u64 {
-        self.triggers.load(Ordering::Relaxed)
+        self.shards.iter().map(|s| lock(&s.0).triggers).sum()
     }
 
-    /// Number of post-mortem dumps written so far.
+    /// Number of post-mortem dumps written successfully so far. A write
+    /// that failed is not counted; see [`Self::dump_error`].
     pub fn dumps_written(&self) -> u64 {
-        self.dumps.load(Ordering::Relaxed)
+        lock(&self.dumps).written
     }
 
-    /// Kind of the most recent trigger event, if any fired.
+    /// Kind of the trigger whose post-mortem is on disk: the one that
+    /// caused the latest successful dump (with a budget of one dump, the
+    /// first trigger). [`Self::last_trigger`] is the latest trigger seen.
+    pub fn dump_cause(&self) -> Option<String> {
+        lock(&self.dumps).cause.as_deref().map(str::to_owned)
+    }
+
+    /// The first failed post-mortem write, rendered, if any failed.
+    pub fn dump_error(&self) -> Option<String> {
+        lock(&self.dumps).error.as_ref().map(ToString::to_string)
+    }
+
+    /// Kind of the most recent trigger event (highest `seq`), if any
+    /// fired.
     pub fn last_trigger(&self) -> Option<String> {
-        self.shards
+        self.lock_shards()
             .iter()
-            .filter_map(|s| s.lock().last_trigger.clone())
-            .max_by_key(|(n, _)| *n)
+            .filter_map(|s| s.last_trigger.clone())
+            .max_by_key(|(seq, _)| *seq)
             .map(|(_, kind)| kind.into_owned())
     }
 
@@ -256,26 +279,25 @@ impl FlightRecorderSink {
     }
 
     /// Retained events per severity: `(info, warn, error)`. Exact once
-    /// recording has quiesced; the window is the last `N` ordinals.
+    /// recording has quiesced: `min(N, stored)`, since every shard holds
+    /// at least its own last `N`.
     pub fn len_by_severity(&self) -> (usize, usize, usize) {
-        let n = |i: usize| {
-            let recorded = self.recorded[i].0.load(Ordering::Relaxed);
-            recorded.min(self.per_severity as u64) as usize
-        };
-        (n(0), n(1), n(2))
+        let (info, warn, error) = self.stored_by_severity();
+        let n = self.per_severity;
+        (info.min(n), warn.min(n), error.min(n))
     }
 
-    /// Events held in memory, including out-of-window ones in chunks
-    /// not yet dropped: the figure the memory bound is about.
-    #[cfg(test)]
-    fn stored(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().rings.iter().map(Ring::stored).sum::<usize>()).sum()
-    }
-
-    /// The lowest ordinal still in the window once `recorded` events of
-    /// a severity have been handed out.
-    fn floor(&self, recorded: u64) -> u64 {
-        recorded.saturating_sub(self.per_severity as u64)
+    /// Events held in memory per severity, `(info, warn, error)`,
+    /// including those outside the window that a shard has not dropped
+    /// yet: the figure the memory bound is about.
+    pub fn stored_by_severity(&self) -> (usize, usize, usize) {
+        let mut stored = [0; 3];
+        for shard in self.lock_shards() {
+            for (total, ring) in stored.iter_mut().zip(&shard.rings) {
+                *total += ring.stored;
+            }
+        }
+        (stored[0], stored[1], stored[2])
     }
 
     /// The retained events rendered as a `(t, seq)`-sorted JSONL
@@ -298,50 +320,66 @@ impl FlightRecorderSink {
         std::fs::write(path, dump)?;
         Ok(lines)
     }
+
+    /// Writes the auto-dump for a trigger of kind `cause`, while the
+    /// dump budget lasts. First-wins: keep the context of the earliest
+    /// anomalies rather than churning the file on every later fallback.
+    fn auto_dump(&self, cause: Cow<'static, str>) {
+        let Some(path) = &self.dump_path else { return };
+        if self.dump_attempts.load(Ordering::Relaxed) >= self.max_dumps
+            || self.dump_attempts.fetch_add(1, Ordering::Relaxed) >= self.max_dumps
+        {
+            return;
+        }
+        let mut log = lock(&self.dumps);
+        match self.dump_to(path) {
+            Ok(_) => {
+                log.written += 1;
+                log.cause = Some(cause);
+            }
+            Err(e) => {
+                log.error.get_or_insert(e);
+            }
+        }
+    }
 }
 
 impl EventSink for FlightRecorderSink {
     fn record(&self, event: Event) {
-        let severity = Severity::classify(&event.kind).index();
-        let trigger = is_trigger(&event.kind)
-            .then(|| (self.triggers.fetch_add(1, Ordering::Relaxed), event.kind.clone()));
-        let fired = trigger.is_some();
-        let ordinal = self.recorded[severity].0.fetch_add(1, Ordering::Relaxed);
+        let severity = Severity::classify(&event.kind);
+        // The error kinds are exactly the triggers ([`is_trigger`]).
+        let trigger = (severity == Severity::Error).then(|| (event.seq, event.kind.clone()));
+        let severity = severity.index();
         {
-            let mut shard = self.shards[shard_index()].lock();
-            shard.rings[severity].push(ordinal, event, self.floor(ordinal + 1));
-            if let Some((n, kind)) = trigger {
-                if shard.last_trigger.as_ref().is_none_or(|(m, _)| *m < n) {
-                    shard.last_trigger = Some((n, kind));
+            let mut shard = lock(&self.shards[shard_index()].0);
+            shard.rings[severity].push(event, self.per_severity);
+            if let Some((seq, kind)) = &trigger {
+                shard.triggers += 1;
+                if shard.last_trigger.as_ref().is_none_or(|(newest, _)| newest < seq) {
+                    shard.last_trigger = Some((*seq, kind.clone()));
                 }
             }
         }
-        if fired {
-            if let Some(path) = &self.dump_path {
-                // First-wins within the dump budget: keep the context of
-                // the earliest anomalies rather than churning the file on
-                // every subsequent fallback.
-                if self.dumps.load(Ordering::Relaxed) < self.max_dumps {
-                    let n = self.dumps.fetch_add(1, Ordering::Relaxed);
-                    if n < self.max_dumps {
-                        let _ = self.dump_to(path);
-                    }
-                }
-            }
+        if let Some((_, kind)) = trigger {
+            self.auto_dump(kind);
         }
     }
 
     fn events(&self) -> Vec<Event> {
-        // Every shard locked at once, then the window read: a snapshot
-        // no writer can move while it is taken.
-        let shards: Vec<MutexGuard<'_, Shard>> = self.shards.iter().map(CacheLine::lock).collect();
-        let floors: [u64; 3] =
-            std::array::from_fn(|i| self.floor(self.recorded[i].0.load(Ordering::Relaxed)));
-        let mut all: Vec<Event> = shards
-            .iter()
-            .flat_map(|s| s.rings.iter().zip(floors).flat_map(|(ring, floor)| ring.retained(floor)))
-            .cloned()
-            .collect();
+        // Every shard locked at once: a snapshot no writer can move
+        // while it is taken. Per severity, the window is the `N`
+        // highest `seq` across the shards.
+        let shards = self.lock_shards();
+        let mut all = Vec::new();
+        for severity in 0..3 {
+            let mut stored: Vec<&Event> =
+                shards.iter().flat_map(|s| s.rings[severity].iter()).collect();
+            let cut = stored.len().saturating_sub(self.per_severity);
+            if cut > 0 {
+                stored.select_nth_unstable_by_key(cut, |e| e.seq);
+            }
+            all.extend(stored[cut..].iter().map(|&e| e.clone()));
+        }
         all.sort_by_key(|e| e.seq);
         all
     }
@@ -386,7 +424,7 @@ mod tests {
     use super::*;
 
     fn ev(t: f64, seq: u64, kind: &str) -> Event {
-        Event { t_sim: t, seq, kind: kind.to_string().into(), fields: vec![] }
+        Event { t_sim: t, seq, kind: kind.to_string().into(), fields: Default::default() }
     }
 
     #[test]
@@ -487,7 +525,7 @@ mod tests {
         }
         assert_eq!(sink.len(), 4);
         // At most one partly stale chunk survives on a recording shard.
-        let stored = sink.stored();
+        let stored = sink.stored_by_severity().0;
         assert!((4..=4 + CHUNK).contains(&stored), "stored {stored}");
         let seqs: Vec<u64> = sink.events().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![9996, 9997, 9998, 9999]);
@@ -504,6 +542,62 @@ mod tests {
         }
         assert_eq!(sink.triggers_fired(), 2);
         assert_eq!(sink.last_trigger().as_deref(), Some("anomaly.brownout"));
+    }
+
+    #[test]
+    fn the_dump_cause_is_the_first_trigger_not_the_last() {
+        let path = std::env::temp_dir()
+            .join(format!("pb_flight_cause_{}.jsonl", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        let sink = FlightRecorderSink::new(8).with_auto_dump(&path, 1);
+        assert_eq!(sink.dump_cause(), None);
+        sink.record(ev(1.0, 0, "fault.fallback"));
+        sink.record(ev(2.0, 1, "anomaly.conservation"));
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(sink.dumps_written(), 1);
+        assert_eq!(sink.dump_cause().as_deref(), Some("fault.fallback"));
+        assert_eq!(sink.last_trigger().as_deref(), Some("anomaly.conservation"));
+        assert_eq!(sink.dump_error(), None);
+    }
+
+    #[test]
+    fn a_failed_dump_is_kept_as_an_error_not_counted_as_written() {
+        // A path under a regular file cannot be created.
+        let file = std::env::temp_dir().join(format!("pb_flight_file_{}", std::process::id()));
+        std::fs::write(&file, "not a directory").unwrap();
+        let path = file.join("x.jsonl").to_string_lossy().into_owned();
+        let sink = FlightRecorderSink::new(8).with_auto_dump(&path, 2);
+        sink.record(ev(1.0, 0, "fault.fallback"));
+        sink.record(ev(2.0, 1, "fault.fallback"));
+        sink.record(ev(3.0, 2, "fault.fallback"));
+        let _ = std::fs::remove_file(&file);
+        assert_eq!(sink.triggers_fired(), 3);
+        assert_eq!(sink.dumps_written(), 0, "no post-mortem reached the disk");
+        assert_eq!(sink.dump_cause(), None);
+        let error = sink.dump_error().expect("the first write error is kept");
+        assert!(!error.is_empty());
+    }
+
+    #[test]
+    fn reads_merge_the_shards_and_cut_each_severity_by_seq() {
+        // Two threads, interleaved in `seq`, each storing all it wrote
+        // (fewer than a chunk): the read keeps the 4 highest `seq`.
+        let sink = Arc::new(FlightRecorderSink::new(4));
+        for parity in 0..2u64 {
+            let sink = Arc::clone(&sink);
+            std::thread::spawn(move || {
+                for i in (parity..20).step_by(2) {
+                    sink.record(ev(i as f64, i, "fault.retry"));
+                }
+            })
+            .join()
+            .unwrap();
+        }
+        assert_eq!(sink.len_by_severity(), (0, 4, 0));
+        let seqs: Vec<u64> = sink.events().iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![16, 17, 18, 19]);
+        assert_eq!(sink.stored_by_severity(), (0, 20, 0), "each shard still holds its chunk");
     }
 
     #[test]

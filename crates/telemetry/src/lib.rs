@@ -40,7 +40,7 @@
 //!     let _guard = tel.span("allocate"); // records wall time on drop
 //! }
 //! tel.add_to_counter("cache.hits", 3);
-//! tel.event(12.5, "slot.filled", vec![("occupancy", 10u64.into())]);
+//! tel.event(12.5, "slot.filled", [("occupancy", 10u64.into())]);
 //!
 //! let snap = tel.snapshot();
 //! assert_eq!(snap.counter("cache.hits"), Some(3));
@@ -57,7 +57,7 @@ pub mod snapshot;
 pub mod span;
 pub mod trace;
 
-pub use events::{BufferSink, Event, EventSink, NoopSink, RingBufferSink, Value};
+pub use events::{BufferSink, Event, EventSink, Fields, NoopSink, RingBufferSink, Value};
 pub use flight::FlightRecorderSink;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry};
 pub use snapshot::TelemetrySnapshot;
@@ -74,6 +74,11 @@ struct Inner {
     sink: Box<dyn EventSink>,
     seq: AtomicU64,
     tracing: AtomicBool,
+    /// `sink.is_recording()`, fixed for the sink's lifetime and read
+    /// once here instead of through the vtable on every event.
+    recording: bool,
+    /// `sink.keeps_trajectories()`, cached the same way.
+    trajectories: bool,
 }
 
 /// A cheaply clonable telemetry handle: either enabled (registry + event
@@ -114,12 +119,16 @@ impl Telemetry {
 
     /// An enabled handle with an explicit event sink.
     pub fn with_sink(sink: Box<dyn EventSink>) -> Self {
+        let recording = sink.is_recording();
+        let trajectories = recording && sink.keeps_trajectories();
         Telemetry {
             inner: Some(Arc::new(Inner {
                 registry: MetricsRegistry::new(),
                 sink,
                 seq: AtomicU64::new(0),
                 tracing: AtomicBool::new(false),
+                recording,
+                trajectories,
             })),
         }
     }
@@ -142,9 +151,7 @@ impl Telemetry {
     /// building span contexts.
     #[inline]
     pub fn tracing_active(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|i| i.tracing.load(Ordering::Relaxed) && i.sink.is_recording())
+        self.inner.as_ref().is_some_and(|i| i.recording && i.tracing.load(Ordering::Relaxed))
     }
 
     /// True when this handle carries a registry (metrics are recorded).
@@ -157,7 +164,7 @@ impl Telemetry {
     /// non-trivial field vectors should guard on this first.
     #[inline]
     pub fn events_recording(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.sink.is_recording())
+        self.inner.as_ref().is_some_and(|i| i.recording)
     }
 
     /// True when events reach a sink that also keeps per-event
@@ -166,7 +173,7 @@ impl Telemetry {
     /// event loop and its `des.*` trajectory records on this.
     #[inline]
     pub fn trajectories_recording(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.sink.is_recording() && i.sink.keeps_trajectories())
+        self.inner.as_ref().is_some_and(|i| i.trajectories)
     }
 
     /// The metrics registry, when enabled. Hot paths resolve handles once
@@ -211,12 +218,15 @@ impl Telemetry {
 
     /// Appends a sim-time-stamped event to the sink (no-op when disabled
     /// or when the sink drops events). `t_sim` is simulation time in
-    /// seconds; the fields become the JSONL record's extra keys.
-    pub fn event(&self, t_sim: f64, kind: &'static str, fields: Vec<(&'static str, Value)>) {
+    /// seconds; the fields become the JSONL record's extra keys. Pass an
+    /// array (`[("attempt", 1u64.into())]`) or a `Vec`: an event of at
+    /// most one field is built without touching the heap ([`Fields`]).
+    pub fn event(&self, t_sim: f64, kind: &'static str, fields: impl Into<Fields>) {
         if let Some(inner) = &self.inner {
-            if inner.sink.is_recording() {
+            if inner.recording {
                 let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-                inner.sink.record(Event { t_sim, seq, kind: Cow::Borrowed(kind), fields });
+                let kind = Cow::Borrowed(kind);
+                inner.sink.record(Event { t_sim, seq, kind, fields: fields.into() });
             }
         }
     }
@@ -231,12 +241,13 @@ impl Telemetry {
         t_sim: f64,
         kind: &'static str,
         span: SpanCtx,
-        mut fields: Vec<(&'static str, Value)>,
+        fields: impl Into<Fields>,
     ) {
         if self.events_recording() {
             // Raw ids, not pre-rendered hex strings: `Value::Hex` defers
             // the 16-digit formatting to export time, so tagging an
-            // event allocates nothing beyond the fields vector itself.
+            // event allocates nothing beyond the spilled field list.
+            let mut fields = fields.into();
             fields.push(("trace", Value::Hex(span.trace)));
             fields.push(("span", Value::Hex(span.span)));
             fields.push(("parent", Value::Hex(span.parent)));

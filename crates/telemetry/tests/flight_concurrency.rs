@@ -5,11 +5,12 @@
 //! recorder must uphold:
 //!
 //! 1. **Exact window**: per severity, exactly `min(N, total)` events are
-//!    retained, and they are the `N` most recently recorded. Recording
-//!    ordinals are internal, but rounds are separated by a pool join, so
-//!    every event of a later round was recorded after every event of an
-//!    earlier one: once any event of round `r` is retained, every event
-//!    of the same severity from a later round must be too.
+//!    retained, and they are the `N` most recently recorded. Within a
+//!    round the order is the telemetry `seq`, but rounds are separated
+//!    by a pool join, so every event of a later round was recorded after
+//!    every event of an earlier one: once any event of round `r` is
+//!    retained, every event of the same severity from a later round must
+//!    be too.
 //! 2. **Suffix retention**: each writer keeps a contiguous suffix of what
 //!    it wrote in each severity — a writer can lose its head, never its
 //!    tail.
@@ -18,8 +19,13 @@
 //!    contains the trigger that caused it. Round 0 holds exactly one
 //!    trigger, so that trigger is the one.
 //! 4. **Counts**: `len()` and `len_by_severity()` agree with `events()`.
+//! 5. **Memory**: `W` threads record into at most `min(W, SHARDS)`
+//!    shards, each holding fewer than `N + CHUNK` events per severity,
+//!    so a severity's stored events never exceed
+//!    `min(W, SHARDS) × (N + CHUNK)`, including when `W > SHARDS`
+//!    threads share shards.
 
-use pb_telemetry::flight::Severity;
+use pb_telemetry::flight::{Severity, CHUNK, SHARDS};
 use pb_telemetry::json::{self, Json};
 use pb_telemetry::{Event, EventSink, FlightRecorderSink, Telemetry, Value};
 use proptest::prelude::*;
@@ -181,6 +187,62 @@ proptest! {
     }
 
     #[test]
+    fn storage_is_bounded_by_the_shards_in_use(
+        n in 1usize..200,
+        writers in 1usize..=SHARDS + 2,
+        per_writer in 0usize..600,
+    ) {
+        let recorder = Arc::new(FlightRecorderSink::new(n));
+        let telemetry = Telemetry::with_sink(Box::new(Arc::clone(&recorder)));
+        // Fresh threads, one per writer: `W` recording threads exactly.
+        std::thread::scope(|scope| {
+            for w in 0..writers {
+                let telemetry = telemetry.clone();
+                scope.spawn(move || {
+                    for i in 0..per_writer {
+                        let fields = [("writer", w.into()), ("index", i.into())];
+                        telemetry.event(i as f64, kind(1, w, i), fields);
+                    }
+                });
+            }
+        });
+        let written: Vec<(usize, usize, usize)> = (0..writers)
+            .flat_map(|w| (0..per_writer).map(move |i| (severity_index(kind(1, w, i)), w, i)))
+            .collect();
+        let events = recorder.events();
+        let retained: std::collections::HashSet<_> = events
+            .iter()
+            .map(|e| (severity_index(&e.kind), field(e, "writer"), field(e, "index")))
+            .collect();
+        prop_assert_eq!(retained.len(), events.len(), "no event is retained twice");
+
+        let (info, warn, error) = recorder.stored_by_severity();
+        let (kept_info, kept_warn, kept_error) = recorder.len_by_severity();
+        let bound = writers.min(SHARDS) * (n + CHUNK);
+        for (severity, (stored, len)) in
+            [(info, kept_info), (warn, kept_warn), (error, kept_error)].into_iter().enumerate()
+        {
+            prop_assert!(stored <= bound, "severity {}: {} stored > {}", severity, stored, bound);
+            let total = written.iter().filter(|w| w.0 == severity).count();
+            let kept = written.iter().filter(|w| w.0 == severity && retained.contains(w)).count();
+            prop_assert_eq!(kept, total.min(n), "severity {}", severity);
+            prop_assert_eq!(len, kept, "severity {}", severity);
+            for writer in 0..writers {
+                let mine: Vec<bool> = written
+                    .iter()
+                    .filter(|w| w.0 == severity && w.1 == writer)
+                    .map(|w| retained.contains(w))
+                    .collect();
+                let first_kept = mine.iter().position(|&k| k).unwrap_or(mine.len());
+                prop_assert!(
+                    mine[first_kept..].iter().all(|&k| k),
+                    "writer {} severity {} kept {:?}", writer, severity, mine
+                );
+            }
+        }
+    }
+
+    #[test]
     fn single_writer_keeps_exactly_the_last_n_per_severity(n in 1usize..48, count in 0usize..160) {
         let recorder = FlightRecorderSink::new(n);
         let kinds = ["des.arrival", "fault.retry", "fault.fallback"];
@@ -190,7 +252,7 @@ proptest! {
                 t_sim: i as f64,
                 seq: i as u64,
                 kind: kind.into(),
-                fields: vec![("index", i.into())],
+                fields: vec![("index", i.into())].into(),
             });
         }
         let got: Vec<usize> = recorder.events().iter().map(|e| field(e, "index")).collect();

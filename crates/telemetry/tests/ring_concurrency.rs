@@ -27,7 +27,7 @@ fn event(writer: usize, index: usize) -> Event {
         // itself must not depend on it for ordering.
         seq: 0,
         kind: "proptest.write".into(),
-        fields: vec![("writer", writer.into()), ("index", index.into())],
+        fields: vec![("writer", writer.into()), ("index", index.into())].into(),
     }
 }
 

@@ -419,12 +419,15 @@ fn sweep(flags: &HashMap<String, String>) {
             error,
             fr.triggers_fired()
         );
-        match (fr.dumps_written(), fr.last_trigger()) {
-            (n, Some(kind)) if n > 0 => {
-                println!("  post-mortem   : {flight_path} (first trigger: {kind})");
+        if let Some(e) = fr.dump_error() {
+            fail(&format!("cannot write flight post-mortem to {flight_path}: {e}"));
+        }
+        match (fr.dump_cause(), fr.last_trigger()) {
+            (Some(cause), _) => {
+                println!("  post-mortem   : {flight_path} (first trigger: {cause})");
             }
-            (_, Some(kind)) => println!("  trigger seen  : {kind} (dump budget exhausted)"),
-            _ => println!("  no anomalies  : nothing dumped"),
+            (None, Some(kind)) => println!("  trigger seen  : {kind} (dump budget exhausted)"),
+            (None, None) => println!("  no anomalies  : nothing dumped"),
         }
     }
 }
