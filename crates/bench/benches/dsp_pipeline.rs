@@ -8,7 +8,9 @@
 //! reuses the plans, which is the steady per-cycle cost the energy model
 //! prices. Rows are in milliseconds except `fft_2048_real`, one
 //! 2048-sample real transform in microseconds (the STFT runs 427 of them
-//! per clip). The file records the host it was taken on.
+//! per clip). The `synth_clip_*` rows time clip synthesis, the first
+//! stage of the daemon's `features` op (cold is the first call, which
+//! may start the pool). The file records the host it was taken on.
 
 use criterion::{black_box, Criterion};
 use pb_ml::nn::resnet::{ResNetConfig, ResNetLite};
@@ -94,7 +96,23 @@ fn fft_row(clip: &[f64]) -> Row {
     Row { name: "fft_2048_real", unit: "us", cold: cold * 1e3, warm: warm * 1e3 / batch as f64 }
 }
 
+/// Synthesis of one `seconds`-long clip (alternating colony state),
+/// warm over `reps` calls.
+fn synth_row(name: &'static str, seconds: f64, reps: usize) -> Row {
+    let synth = BeeAudioSynth::default();
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut calls = 0;
+    let mut once = || {
+        calls += 1;
+        synth.generate(ColonyState::from_label(calls % 2), seconds, &mut rng).len()
+    };
+    let cold = time_ms(1, &mut once);
+    Row::ms(name, cold, time_ms(reps, once))
+}
+
 fn measure_rows() -> Vec<Row> {
+    let synth_10s = synth_row("synth_clip_10s", 10.0, 12);
+    let synth_0_25s = synth_row("synth_clip_0_25s", 0.25, 400);
     let clip = paper_clip();
     let pipeline = MelPipeline::paper_default();
     let net = ResNetLite::new(ResNetConfig::default());
@@ -158,6 +176,8 @@ fn measure_rows() -> Vec<Row> {
     });
 
     vec![
+        synth_10s,
+        synth_0_25s,
         fft_row(&clip),
         Row::ms("clip_to_mel", clip_to_mel_cold, clip_to_mel),
         Row::ms("clip_to_mfcc13", clip_to_mfcc_cold, clip_to_mfcc),

@@ -38,6 +38,9 @@ const REGRESSION_FACTOR: f64 = 1.25;
 /// Pinned warm-path latencies (milliseconds) from `BENCH_dsp.json` on the
 /// reference box — see that file's committed copy for provenance.
 const DSP_WARM_MS: &[(&str, f64)] = &[
+    // Clip synthesis, the first stage of the daemon's `features` op.
+    ("synth_clip_10s", 10.453),
+    ("synth_clip_0_25s", 0.251),
     ("clip_to_mel", 6.117),
     ("clip_to_mfcc13", 13.252),
     ("cnn_forward_100px", 10.576),

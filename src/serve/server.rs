@@ -174,6 +174,8 @@ pub const METRIC_FAMILIES: &[&str] = &[
     "serve.executed",
     "serve.queue.depth",
     "serve.request.features",
+    "serve.request.features.mel",
+    "serve.request.features.synth",
     "serve.request.latency",
     "serve.request.montecarlo",
     "serve.request.plan",
@@ -377,9 +379,18 @@ impl ServeState {
                 ok_response("montecarlo", &protocol::montecarlo_body(r, &ci))
             }
             Request::Features(r) => {
-                let mut rng = seeded_rng(r.seed);
-                let clip = BeeAudioSynth::default().generate(r.colony, r.duration_s, &mut rng);
-                let bands = self.mel.mel(&clip).band_means();
+                let clip = {
+                    let _span = self.telemetry.span("serve.request.features.synth");
+                    BeeAudioSynth::default().generate(
+                        r.colony,
+                        r.duration_s,
+                        &mut seeded_rng(r.seed),
+                    )
+                };
+                let bands = {
+                    let _span = self.telemetry.span("serve.request.features.mel");
+                    self.mel.mel(&clip).band_means()
+                };
                 ok_response("features", &protocol::features_body(r, &bands))
             }
             // Control operations never reach the queue.

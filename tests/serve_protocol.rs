@@ -20,16 +20,22 @@
 //! 4. **Golden telemetry** — one served sweep produces exactly the
 //!    pinned `serve.*` metric set, and the OpenMetrics exposition
 //!    carries the new families.
+//!
+//! A golden `features` reply pins clip synthesis, mel and the renderer
+//! byte for byte.
 
 use precision_beekeeping::orchestra::engine::{Backend, SimContext};
 use precision_beekeeping::orchestra::faults::RetryPolicy;
 use precision_beekeeping::orchestra::loss::LossModel;
+use precision_beekeeping::orchestra::prelude::seeded_rng;
 use precision_beekeeping::orchestra::presets;
 use precision_beekeeping::orchestra::sweep::SweepConfig;
 use precision_beekeeping::orchestra::FillPolicy;
 use precision_beekeeping::serve::frame::{self, FrameError, MAX_FRAME};
 use precision_beekeeping::serve::protocol::{self, parse_request, Request};
 use precision_beekeeping::serve::{spawn, ServeClient, ServeHandle, ServeOptions};
+use precision_beekeeping::signal::audio::BeeAudioSynth;
+use precision_beekeeping::signal::pipeline::MelPipeline;
 use precision_beekeeping::telemetry::export::openmetrics;
 use precision_beekeeping::telemetry::json::{self, Json};
 use precision_beekeeping::telemetry::Telemetry;
@@ -312,6 +318,89 @@ fn distinct_requests_do_not_coalesce_and_still_match_the_batch_path() {
     assert!(report.conservation_ok());
 }
 
+const FEATURES_REQ: &str =
+    "{\"op\":\"features\",\"colony\":\"queenright\",\"duration_s\":0.25,\"seed\":42}";
+
+/// The reply to [`FEATURES_REQ`], byte for byte, recorded before clip
+/// synthesis was split into a serial recurrence and a pooled per-sample
+/// pass: it pins synthesis, mel and the renderer together.
+const FEATURES_GOLDEN: &str = "{\"status\":\"ok\",\"op\":\"features\",\"body\":{\"colony\":\"queenright\",\"n_bands\":128,\"bands\":[\
+    -46.192048712706644,-43.40031501103964,-44.66026329120573,-43.547673531533185,\
+    -49.40743951652821,-48.43160836844095,-47.59442129798545,-48.1203620197585,\
+    -48.62212095183894,-49.20211825263351,-44.413105733477096,-14.803438621776754,\
+    -0.033821870709410985,-0.8376314723500605,-30.83784947511165,-45.47067057320729,\
+    -44.45824201310807,-46.16468707185278,-45.49106709671763,-21.861419814847746,\
+    -7.818301120685606,-13.587869770440623,-10.632977655502886,-5.596962757065499,\
+    -19.296971054015422,-46.33655372282088,-43.40090805123618,-42.26451075303461,\
+    -43.00133078014144,-45.70460018229892,-33.895188565949844,-12.551273609259596,\
+    -17.18247149384934,-43.59384454560744,-43.983121627919864,-46.01128958294198,\
+    -47.48168762249636,-45.029600811295595,-20.472545987077428,-22.557637645158422,\
+    -43.17111360238795,-44.76749348251554,-42.725702227109615,-41.37890559137461,\
+    -27.89697323825888,-27.07288902114575,-43.53108928398405,-41.47582513485926,\
+    -40.8408626780806,-43.88690837822685,-43.52831885248968,-42.144556731176486,\
+    -42.29674848156289,-43.41547582869634,-42.56955971372032,-41.57199850692224,\
+    -40.71550503903951,-41.51270081723874,-41.78259830507249,-41.23985544652527,\
+    -42.6658859071352,-40.46661429347341,-39.93266595399114,-42.13962567491202,\
+    -41.77358025900968,-43.28576246491554,-40.4424038215819,-40.78567599784242,\
+    -40.78887592961907,-39.49644529301755,-38.90828640445075,-39.769695744118295,\
+    -40.63905031829719,-40.155236890946995,-41.80921477848837,-37.90976376644604,\
+    -38.16088044663264,-39.64106912764997,-39.580435762026575,-39.373282156871305,\
+    -39.07390156514648,-39.81417828529237,-38.96351398091311,-39.78517308947145,\
+    -39.6386266898595,-37.38651702028138,-38.2970160034294,-38.69059392581408,\
+    -38.50100169833825,-36.94641540292938,-37.53327376758693,-39.10008713444121,\
+    -38.364718701875745,-38.17248364107191,-37.125655108755055,-37.73621089130243,\
+    -38.447874433390055,-37.958920792591506,-38.31861810259063,-37.119461380060386,\
+    -37.443652495119814,-36.80942685495553,-36.697551667406614,-36.54596532833992,\
+    -36.60763138207589,-36.10128630193612,-36.73009642189515,-35.192472532531234,\
+    -36.72745489637972,-36.53141266394689,-36.398132284073164,-37.429022449253054,\
+    -36.7770851832666,-36.629999366598824,-36.466189854402,-35.48889332384014,\
+    -35.03317161050548,-35.0992372893888,-34.63995061034213,-35.013464367903985,\
+    -34.78594731320668,-34.889789555847685,-34.44185752056661,-33.94948144522157,\
+    -34.28367738973295,-35.176229855307724,-35.342979106609775,-34.21077171047758]}}";
+
+#[test]
+fn a_features_reply_is_byte_identical_to_its_golden_copy() {
+    init_pool();
+    let telemetry = Telemetry::metrics_only();
+    let daemon = spawn(
+        "127.0.0.1:0",
+        ServeOptions { telemetry: telemetry.clone(), ..ServeOptions::default() },
+    )
+    .unwrap();
+    let mut c = ServeClient::connect(daemon.addr()).unwrap();
+    assert_eq!(c.call(FEATURES_REQ).unwrap(), FEATURES_GOLDEN);
+    let report = daemon.shutdown();
+    assert!(report.conservation_ok());
+
+    // The execution is timed as synthesis, then mel, inside the op's
+    // own histogram.
+    let snap = telemetry.snapshot();
+    let hist = |name: &str| snap.histograms.iter().find(|(n, _)| n == name).unwrap().1.clone();
+    let (total, synth, mel) = (
+        hist("serve.request.features"),
+        hist("serve.request.features.synth"),
+        hist("serve.request.features.mel"),
+    );
+    assert_eq!((total.count, synth.count, mel.count), (1, 1, 1));
+    assert!(synth.total + mel.total <= total.total, "{synth:?} + {mel:?} > {total:?}");
+
+    // The batch path gives the same bytes at every thread cap.
+    let env = parse_request(FEATURES_REQ).unwrap();
+    let Request::Features(r) = env.request else { panic!("expected features") };
+    let pipeline = MelPipeline::paper_default();
+    for cap in [1, 2, 4] {
+        let batch = with_thread_cap(cap, || {
+            let clip =
+                BeeAudioSynth::default().generate(r.colony, r.duration_s, &mut seeded_rng(r.seed));
+            protocol::ok_response(
+                "features",
+                &protocol::features_body(&r, &pipeline.mel(&clip).band_means()),
+            )
+        });
+        assert_eq!(batch, FEATURES_GOLDEN, "features bit-identity at {cap} threads");
+    }
+}
+
 // ---------------------------------------------------------------------
 // 3. Backpressure conservation
 // ---------------------------------------------------------------------
@@ -540,6 +629,8 @@ fn one_served_sweep_emits_exactly_the_pinned_metric_set() {
         "serve_queue_depth",
         "serve_request_latency",
         "serve_request_sweep",
+        "serve_request_features_synth",
+        "serve_request_features_mel",
     ] {
         assert!(exposition.contains(family), "exposition is missing {family}:\n{exposition}");
     }
