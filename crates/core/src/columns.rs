@@ -268,7 +268,7 @@ impl FleetColumns {
 
 /// Columnar record of one server's *resolved* transfers: effective
 /// arrival time, local client index and attempt count as flat columns,
-/// filled in client order by the faulted cycle's fault pre-pass.
+/// filled in client order by the DES cycle's pre-pass.
 ///
 /// The DES fast path partitions these rows into **clean** deliveries
 /// (first attempt succeeded, so the effective time *is* the client's

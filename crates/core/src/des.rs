@@ -12,14 +12,14 @@
 
 use crate::columns::{ClassView, TransferColumns};
 use crate::faults::{
-    emit_brownout_fallback, emit_delivered, emit_sample, emit_untagged_brownout_fallback,
-    exact_transfer, ClientClass, FaultPlan, TransferTrace,
+    emit_delivered, emit_sample, resolve_client, FaultPlan, Resolution, TransferTrace,
 };
 use crate::server::ServerModel;
 use pb_telemetry::trace::{trace_id, SpanCtx, HOP_ARRIVAL, HOP_PROCESS, HOP_TRANSFER};
 use pb_telemetry::Telemetry;
 use pb_units::{Joules, Seconds, Watts};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -86,6 +86,9 @@ impl Ord for EventKey {
 /// Energy model (matching the slotted accounting): idle power over the
 /// whole horizon, plus the receive-power *delta* while ≥ 1 upload is
 /// active, plus the process-power delta while the processor is busy.
+///
+/// A wrapper of [`simulate_async_cycle_with`] with no telemetry, tags,
+/// memo or faults.
 pub fn simulate_async_cycle<R: Rng + ?Sized>(
     n_clients: usize,
     server: &ServerModel,
@@ -172,29 +175,9 @@ fn repeated_sum(value: f64, m: usize) -> f64 {
 }
 
 /// [`simulate_async_cycle`] with observability, causal tags and a
-/// [`ShapeMemo`].
-///
-/// * **Telemetry**: event counts by type (`des.events.*`), the peak
-///   uplink queue depth (`des.queue_depth.peak` gauge), the event-queue
-///   occupancy and horizon histograms (`des.queue.occupancy`,
-///   `des.cycle.horizon_s`), the path taken (`des.fastpath.replayed`
-///   or one `des.fastpath.refused.*` counter, in clients), a
-///   `des.cycle_done` summary when the sink keeps events, and one
-///   sim-time-stamped trace record per simulation event only when it
-///   also keeps trajectories ([`Telemetry::trajectories_recording`]).
-/// * **Causal tags** ([`DesTrace`], active only under
-///   [`Telemetry::with_tracing`]): each client gets a root
-///   `trace.sample` span at its arrival instant, the
-///   `des.{arrival,transfer_done,process_done}` hops chain under it, and
-///   a terminal `trace.delivered` span lands at the client's processing
-///   completion.
-/// * **Memo**: when the caller simulates many servers of identical
-///   shape (the engine's normal fan-out), the memo supplies the shape's
-///   repeated-addition constants so each replayed trajectory skips
-///   re-folding them.
-///
-/// None of the three touches the RNG: results are bit-identical to
-/// [`simulate_async_cycle`] with or without them.
+/// [`ShapeMemo`], and no faults: a wrapper of
+/// [`simulate_async_cycle_with`] kept at this signature because the
+/// out-of-workspace `perfbench` harness compiles against it.
 pub fn simulate_async_cycle_memoized<R: Rng + ?Sized>(
     n_clients: usize,
     server: &ServerModel,
@@ -203,175 +186,170 @@ pub fn simulate_async_cycle_memoized<R: Rng + ?Sized>(
     causal: Option<&DesTrace>,
     memo: Option<&ShapeMemo>,
 ) -> AsyncCycleReport {
-    let cycle = server.cycle.value();
-    let mut arrivals: Vec<f64> = (0..n_clients).map(|_| rng.gen_range(0.0..cycle)).collect();
-    sort_arrival_times(&mut arrivals);
-    let tag = causal.filter(|_| telemetry.tracing_active());
-    let refusal = fast_path_refusal(telemetry, tag.is_some(), server);
-    let out = if refusal.is_none() {
-        // Sorted fault-free arrivals are already in pop order with
-        // client i at position i — no entry list needed.
-        replay_core(n_clients, &arrivals, None, server, memo)
-    } else {
-        let entries: Vec<(f64, usize)> =
-            arrivals.iter().enumerate().map(|(client, &t)| (t, client)).collect();
-        let links: Option<Vec<Option<SpanCtx>>> = tag.map(|dt| {
-            entries
-                .iter()
-                .map(|&(t, client)| {
-                    let tid = trace_id(dt.point_seed, (dt.base + client) as u64);
-                    emit_sample(telemetry, t, tid, (dt.base + client) as u64, "uploader");
-                    Some(SpanCtx::root(tid))
-                })
-                .collect()
-        });
-        exact_event_loop(n_clients, &entries, server, telemetry, links.as_deref())
-    };
-    if let Some(dt) = tag {
-        for client in 0..n_clients {
-            let t_done = out.completion[client];
-            let global = (dt.base + client) as u64;
-            let tid = trace_id(dt.point_seed, global);
-            emit_delivered(telemetry, t_done, tid, global, 1, dt.deliver_energy_j);
-        }
-    }
-
-    let horizon = out.last_time.max(cycle);
-    let server_energy = energy_over(server, horizon, out.receive_busy, out.process_busy);
-    // Client-order latency accumulation, same fold order as the
-    // historical intermediate `Vec` (sum first, then a 0-seeded max).
-    let mut lat_sum = 0.0f64;
-    let mut max_latency = 0.0f64;
-    for (c, a) in out.completion.iter().zip(&arrivals) {
-        let l = c - a;
-        lat_sum += l;
-        max_latency = max_latency.max(l);
-    }
-    let mean_latency = if n_clients > 0 { lat_sum / n_clients as f64 } else { 0.0 };
-
-    flush_telemetry(telemetry, n_clients, &out, refusal, horizon, server_energy);
-
-    AsyncCycleReport {
+    simulate_async_cycle_with(
         n_clients,
-        horizon: Seconds(horizon),
-        server_energy,
-        receive_busy: Seconds(out.receive_busy),
-        process_busy: Seconds(out.process_busy),
-        mean_latency: Seconds(mean_latency),
-        max_latency: Seconds(max_latency),
-        peak_queue: out.peak_queue,
-    }
+        server,
+        rng,
+        &DesRun { telemetry, causal, memo, faults: None },
+    )
+    .report
 }
 
-/// [`simulate_async_cycle_memoized`] under a [`FaultPlan`]: every client
-/// still wakes at a uniform random instant (the same arrival stream as
-/// the fault-free run, bit for bit), but its participation follows its
-/// drawn [`ClientClass`] — browned-out and sensor-dropped clients never
-/// touch the uplink, and uploaders resolve their transfer through the
-/// outage/packet-loss/retry machinery of the faults module *before*
-/// entering the server's event loop (a failed attempt never occupies the
-/// uplink; a successful retry arrives at its final attempt time). Fault
-/// draws come from the dedicated `fault_rng` stream so the arrival
-/// stream is untouched. With a [`DesTrace`] and an active tracing flag,
-/// every client's events carry the causal span chain
-/// (sample → attempt(s) → network hops → delivered-or-fallback).
-#[allow(clippy::too_many_arguments)] // the two RNG streams, the causal tag and the memo are all distinct concerns
-pub fn simulate_async_cycle_faulted<R: Rng + ?Sized, F: Rng + ?Sized>(
+/// How one DES server job runs, besides its population, server and
+/// arrival stream. None of the fields touches the arrival stream.
+#[derive(Clone, Copy, Debug)]
+pub struct DesRun<'a> {
+    /// Telemetry sink: event counts by type (`des.events.*`), the peak
+    /// uplink queue depth (`des.queue_depth.peak` gauge), the event-queue
+    /// occupancy and horizon histograms (`des.queue.occupancy`,
+    /// `des.cycle.horizon_s`), the path taken (`des.fastpath.replayed`
+    /// or one `des.fastpath.refused.*` counter, in clients), a
+    /// `des.cycle_done` summary when the sink keeps events, and one
+    /// sim-time-stamped trace record per simulation event only when it
+    /// also keeps trajectories ([`Telemetry::trajectories_recording`]).
+    pub telemetry: &'a Telemetry,
+    /// Causal tags, active only under [`Telemetry::with_tracing`]: each
+    /// client gets a root `trace.sample` span at its arrival instant,
+    /// its `des.{arrival,transfer_done,process_done}` hops chain under
+    /// the root (or under its successful attempt when faults are on),
+    /// and a terminal `trace.delivered` or `fault.fallback` span ends
+    /// the chain.
+    pub causal: Option<&'a DesTrace>,
+    /// The shape's repeated-addition constants, when the caller
+    /// simulates many servers of identical shape.
+    pub memo: Option<&'a ShapeMemo>,
+    /// The fault plan as it strikes this server's clients; `None` when
+    /// the plan cannot strike any client, which does no fault work at
+    /// all.
+    pub faults: Option<DesFaults<'a>>,
+}
+
+/// A fault plan applied to one DES server's clients.
+#[derive(Clone, Copy, Debug)]
+pub struct DesFaults<'a> {
+    /// The plan.
+    pub plan: &'a FaultPlan,
+    /// Each client's drawn [`ClientClass`](crate::faults::ClientClass), in sorted-arrival order.
+    pub classes: ClassView<'a>,
+    /// Seed of this server's own fault stream (transfer draws), disjoint
+    /// from the arrival stream.
+    pub seed: u64,
+}
+
+/// The one per-server DES cycle. Clients wake at uniform random instants
+/// (drawn from `rng`, then sorted). Under [`DesRun::faults`] each
+/// client's participation follows its drawn [`ClientClass`](crate::faults::ClientClass):
+/// browned-out and sensor-dropped clients never touch the uplink, and
+/// uploaders resolve their transfer through the outage/packet-loss/retry
+/// machinery of the faults module *before* entering the server's
+/// queueing model (a failed attempt never occupies the uplink; a
+/// successful retry arrives at its final attempt time). Fault draws come
+/// from their own stream, so the arrival stream is the same with and
+/// without faults, bit for bit.
+///
+/// The queueing model runs as the shape-memoized replay unless the run
+/// is tagged, a sink keeps trajectories or the server has no uplink
+/// lanes, which send it through the exact event loop; both give the
+/// same bits.
+pub fn simulate_async_cycle_with<R: Rng + ?Sized>(
     n_clients: usize,
     server: &ServerModel,
     rng: &mut R,
-    fault_rng: &mut F,
-    plan: &FaultPlan,
-    classes: ClassView<'_>,
-    telemetry: &Telemetry,
-    causal: Option<&DesTrace>,
-    memo: Option<&ShapeMemo>,
-) -> FaultedAsyncReport {
-    assert_eq!(classes.len(), n_clients, "one class per client");
+    run: &DesRun<'_>,
+) -> DesRunReport {
     let cycle = server.cycle.value();
     let mut arrivals: Vec<f64> = (0..n_clients).map(|_| rng.gen_range(0.0..cycle)).collect();
     sort_arrival_times(&mut arrivals);
 
-    let tag = causal.filter(|_| telemetry.tracing_active());
-    let recording = telemetry.events_recording();
-    let mut attempts = 0u64;
+    let telemetry = run.telemetry;
+    let tag = run.causal.filter(|_| telemetry.tracing_active());
+    let mut attempts = n_clients as u64;
     let mut retries = 0u64;
     let mut fallbacks = 0u64;
-    // Columnar fault pre-pass: resolved transfers land as flat columns
-    // (effective time, client, attempt count) so the fast path can
-    // partition clean first-attempt deliveries from divergent retried
-    // ones without re-walking per-client structs.
-    let mut cols = TransferColumns::with_capacity(n_clients);
-    // Per local client: the span its network hops chain under (the
-    // successful attempt), plus the delivered set's attempt counts for
-    // the terminal spans emitted after the loop.
-    let mut links: Vec<Option<SpanCtx>> =
-        if tag.is_some() { vec![None; n_clients] } else { vec![] };
+    // Per local client: the span its network hops chain under, plus the
+    // delivered set's attempt counts for the terminal spans emitted
+    // after the loop.
+    let mut links: Vec<Option<SpanCtx>> = Vec::new();
     let mut delivered_tags: Vec<(usize, u64, u64)> = Vec::new();
-    for (client, &t) in arrivals.iter().enumerate() {
-        let tid = tag.map(|dt| trace_id(dt.point_seed, (dt.base + client) as u64));
-        match classes.get(client) {
-            ClientClass::Brownout => {
-                fallbacks += 1;
-                if let (Some(dt), Some(tid)) = (tag, tid) {
-                    let global = (dt.base + client) as u64;
-                    emit_sample(telemetry, t, tid, global, "brownout");
-                    emit_brownout_fallback(telemetry, t, tid, global, dt.fallback_energy_j);
-                } else if recording {
-                    emit_untagged_brownout_fallback(telemetry, t);
+    // Resolved transfers as flat columns (effective time, client, attempt
+    // count), built only when faults can divert clients. Otherwise the
+    // sorted arrivals are the delivered stream, client i at position i.
+    let mut resolved = run.faults.map(|_| TransferColumns::with_capacity(n_clients));
+    if run.faults.is_some() || tag.is_some() {
+        attempts = 0;
+        let mut faults = run.faults.map(|f| {
+            assert_eq!(f.classes.len(), n_clients, "one class per client");
+            (f, StdRng::seed_from_u64(f.seed))
+        });
+        if tag.is_some() {
+            links = vec![None; n_clients];
+        }
+        for (client, &t) in arrivals.iter().enumerate() {
+            let tc = tag.map(|dt| {
+                let global = (dt.base + client) as u64;
+                TransferTrace {
+                    client: global,
+                    trace: trace_id(dt.point_seed, global),
+                    retry_energy_j: dt.retry_energy_j,
+                    fallback_energy_j: dt.fallback_energy_j,
                 }
-            }
-            ClientClass::SensorDropout => {
-                if let (Some(dt), Some(tid)) = (tag, tid) {
-                    emit_sample(telemetry, t, tid, (dt.base + client) as u64, "dropout");
+            });
+            let outcome = match faults.as_mut() {
+                Some((f, frng)) => {
+                    let class = f.classes.get(client);
+                    resolve_client(f.plan, class, Seconds(t), frng, telemetry, tc.as_ref())
                 }
-            }
-            ClientClass::Uploader => {
-                let tc = tag.zip(tid).map(|(dt, tid)| {
-                    let global = (dt.base + client) as u64;
-                    emit_sample(telemetry, t, tid, global, "uploader");
-                    TransferTrace {
-                        client: global,
-                        trace: tid,
-                        retry_energy_j: dt.retry_energy_j,
-                        fallback_energy_j: dt.fallback_energy_j,
+                None => {
+                    if let Some(tc) = &tc {
+                        emit_sample(telemetry, t, tc.trace, tc.client, "uploader");
                     }
-                });
-                let (a, success) =
-                    exact_transfer(plan, Seconds(t), fault_rng, telemetry, tc.as_ref());
-                attempts += a;
-                retries += a - 1;
-                match success {
-                    Some(t_eff) => {
-                        cols.push(t_eff.value(), client, a);
-                        if let Some(tid) = tid {
-                            links[client] = Some(SpanCtx::attempt(tid, a as u32));
-                            delivered_tags.push((client, tid, a));
-                        }
+                    Resolution::Delivered { attempts: 1, at: Seconds(t) }
+                }
+            };
+            attempts += outcome.attempts();
+            retries += outcome.attempts().saturating_sub(1);
+            match outcome {
+                Resolution::Dropped => {}
+                Resolution::FellBack { .. } => fallbacks += 1,
+                Resolution::Delivered { attempts: a, at } => {
+                    if let Some(cols) = resolved.as_mut() {
+                        cols.push(at.value(), client, a);
                     }
-                    None => fallbacks += 1,
+                    if let Some(tc) = &tc {
+                        // Without faults there is no attempt chain: the
+                        // hops hang off the root.
+                        links[client] = Some(if run.faults.is_some() {
+                            SpanCtx::attempt(tc.trace, a as u32)
+                        } else {
+                            SpanCtx::root(tc.trace)
+                        });
+                        delivered_tags.push((client, tc.trace, a));
+                    }
                 }
             }
         }
     }
-    let delivered = cols.len() as u64;
+    let delivered = resolved.as_ref().map_or(n_clients, TransferColumns::len) as u64;
     // The replay needs entries in event-queue *pop* order — (time, push
     // index) — which the clean/divergent merge produces in O(m + d log d)
     // for d divergent clients; the exact loop needs the original push
     // order so its event sequence numbers stay bit-identical.
     let refusal = fast_path_refusal(telemetry, tag.is_some(), server);
-    let out = if refusal.is_none() {
-        let (times, clients) = cols.pop_order_columns();
-        replay_core(n_clients, &times, Some(&clients), server, memo)
-    } else {
-        let entries = cols.push_order_entries();
-        exact_event_loop(
-            n_clients,
-            &entries,
-            server,
-            telemetry,
-            if tag.is_some() { Some(&links) } else { None },
-        )
+    let tagged_links = tag.map(|_| links.as_slice());
+    let out = match (&resolved, refusal) {
+        (None, None) => replay_core(n_clients, &arrivals, None, server, run.memo),
+        (Some(cols), None) => {
+            let (times, clients) = cols.pop_order_columns();
+            replay_core(n_clients, &times, Some(&clients), server, run.memo)
+        }
+        (None, Some(_)) => {
+            let entries: Vec<(f64, usize)> =
+                arrivals.iter().enumerate().map(|(client, &t)| (t, client)).collect();
+            exact_event_loop(n_clients, &entries, server, telemetry, tagged_links)
+        }
+        (Some(cols), Some(_)) => {
+            exact_event_loop(n_clients, &cols.push_order_entries(), server, telemetry, tagged_links)
+        }
     };
     if let Some(dt) = tag {
         for &(client, tid, a) in &delivered_tags {
@@ -382,23 +360,23 @@ pub fn simulate_async_cycle_faulted<R: Rng + ?Sized, F: Rng + ?Sized>(
 
     let horizon = out.last_time.max(cycle);
     let server_energy = energy_over(server, horizon, out.receive_busy, out.process_busy);
-    // Latency from the *original* wake-up instant, over delivered
-    // clients only (the others never produce a server-side completion).
-    let latencies: Vec<f64> = out
-        .completion
-        .iter()
-        .zip(&arrivals)
-        .zip(classes.iter())
-        .filter(|((c, _), class)| *class == ClientClass::Uploader && **c > 0.0)
-        .map(|((c, a), _)| c - a)
-        .collect();
-    let mean_latency =
-        if delivered > 0 { latencies.iter().sum::<f64>() / delivered as f64 } else { 0.0 };
-    let max_latency = latencies.iter().copied().fold(0.0, f64::max);
+    // Latency from the *original* wake-up instant, over delivered clients
+    // only (the others never complete on the server), in client order: a
+    // sum first, then a 0-seeded max.
+    let mut lat_sum = 0.0f64;
+    let mut max_latency = 0.0f64;
+    for (&c, a) in out.completion.iter().zip(&arrivals) {
+        if c > 0.0 {
+            let l = c - a;
+            lat_sum += l;
+            max_latency = max_latency.max(l);
+        }
+    }
+    let mean_latency = if delivered > 0 { lat_sum / delivered as f64 } else { 0.0 };
 
     flush_telemetry(telemetry, n_clients, &out, refusal, horizon, server_energy);
 
-    FaultedAsyncReport {
+    DesRunReport {
         report: AsyncCycleReport {
             n_clients,
             horizon: Seconds(horizon),
@@ -416,10 +394,10 @@ pub fn simulate_async_cycle_faulted<R: Rng + ?Sized, F: Rng + ?Sized>(
     }
 }
 
-/// [`simulate_async_cycle_faulted`]'s outcome: the cycle report plus the
-/// server's share of the fault accounting.
+/// [`simulate_async_cycle_with`]'s outcome: the cycle report plus the
+/// server's share of the delivery accounting.
 #[derive(Clone, Debug)]
-pub struct FaultedAsyncReport {
+pub struct DesRunReport {
     /// The usual asynchronous-cycle report (latency over delivered
     /// clients only).
     pub report: AsyncCycleReport,
@@ -941,8 +919,6 @@ mod tests {
     use super::*;
     use crate::scenario::presets;
     use crate::ServiceKind;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn server(cap: usize) -> ServerModel {
         presets::cloud_server(ServiceKind::Cnn, cap)

@@ -45,19 +45,24 @@ use std::sync::{Arc, RwLock};
 
 use crate::allocator::{allocate, Allocation, FillPolicy};
 use crate::client::ClientModel;
-use crate::des::{simulate_async_cycle_memoized, DesTrace, ShapeMemo};
-use crate::faults::{self, FaultPlan, FAULT_GAMMA};
+use crate::columns::{publish_columns, CountingRng, FleetColumns};
+use crate::des::{simulate_async_cycle_with, DesFaults, DesRun, DesTrace, ShapeMemo};
+use crate::faults::{
+    emit_delivered, publish_stats, resolve_client, retry_energy, FaultPlan, FaultStats, Resolution,
+    TransferTrace, FAULT_GAMMA,
+};
 use crate::loss::LossModel;
 use crate::scenario::presets;
 use crate::server::ServerModel;
 use crate::simulation::{edge_cycle_energy, servers_cycle_energy, CycleReport};
 use crate::sweep::ComparisonPoint;
-use crate::timeline::{clients_energy_from_timelines, servers_energy_from_timelines};
+use crate::timeline::{client_timeline, servers_energy_from_timelines, slot_start_times};
 use crate::ServiceKind;
+use pb_telemetry::trace::trace_id;
 use pb_telemetry::{Counter, Histogram, Telemetry};
-use pb_units::Joules;
+use pb_units::{Joules, Seconds};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rayon::prelude::*;
 
 /// The odd multiplier of the golden-ratio seed split: distinct inputs
@@ -346,8 +351,10 @@ impl SimContext {
         SimContext { seed, cache, telemetry, faults: FaultPlan::NONE }
     }
 
-    /// This context with `plan` injected into every evaluation. The
-    /// structural [`FaultPlan::NONE`] keeps the exact fault-free paths.
+    /// This context with `plan` injected into every evaluation. A plan
+    /// that strikes no client ([`FaultPlan::strikes_clients`]) does no
+    /// per-client fault work, and [`FaultPlan::NONE`] reproduces the
+    /// fault-free results bit for bit.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
@@ -442,15 +449,26 @@ pub trait CycleEngine: Send + Sync {
         n_clients: usize,
         ctx: &SimContext,
     ) -> CycleReport {
-        if !ctx.fault_plan().is_none() {
-            return faults::edge_with_faults(spec, n_clients, ctx);
-        }
         let _span = ctx.telemetry().span("engine.cycle.edge");
-        let mut rng = ctx.point_rng(n_clients as u64);
-        let active = draw_active(&spec.loss, n_clients, &mut rng);
-        record_client_loss(ctx, n_clients, active);
+        let plan = ctx.fault_plan();
+        let active = active_clients(spec, n_clients, ctx);
         let edge_total = spec.edge_client.cycle_energy() * active as f64;
-        CycleReport::from_parts(n_clients, active, 0, edge_total, Joules::ZERO)
+        // Nodes never touch the network, so only sensor dropouts strike
+        // them (the node still runs its full routine: energy unchanged).
+        // The classes come from the same fault stream as the cloud side,
+        // so per-class counts match across scenarios.
+        let stats = if plan.sensor_dropout > 0.0 {
+            let columns = FleetColumns::draw(plan, active, &mut ctx.fault_rng(n_clients as u64));
+            let (_, sensor_dropouts) = columns.class_counts();
+            FaultStats {
+                sensor_dropouts: sensor_dropouts as u64,
+                delivered: (active - sensor_dropouts) as u64,
+                ..FaultStats::default()
+            }
+        } else {
+            FaultStats::unstruck(plan, 0, active)
+        };
+        CycleReport::new(n_clients, active, 0, edge_total, Joules::ZERO, stats)
     }
 
     /// Evaluates both scenarios at `n_clients` from the *same* derived
@@ -465,48 +483,120 @@ pub trait CycleEngine: Send + Sync {
     }
 }
 
-/// Loss C draw shared by every backend: how many clients participate.
-pub(crate) fn draw_active<R: Rng + ?Sized>(
-    loss: &LossModel,
-    n_clients: usize,
-    rng: &mut R,
-) -> usize {
-    let lost = loss.client_loss.map_or(0, |l| l.draw(n_clients, rng));
+/// The Loss-C draw both scenarios share: how many of `n_clients`
+/// participate, drawn from point `n_clients`'s stream (so a comparison
+/// loses the same clients on both sides) and counted into
+/// `loss.clients_lost`.
+fn active_clients(spec: &ScenarioSpec, n_clients: usize, ctx: &SimContext) -> usize {
+    let lost = spec
+        .loss
+        .client_loss
+        .map_or(0, |l| l.draw(n_clients, &mut ctx.point_rng(n_clients as u64)));
+    if lost > 0 {
+        ctx.telemetry().add_to_counter("loss.clients_lost", lost as u64);
+    }
     n_clients - lost
 }
 
-/// Counts Loss-C casualties into `loss.clients_lost` (no-op when the
-/// context's telemetry is disabled or nobody was lost).
-pub(crate) fn record_client_loss(ctx: &SimContext, n_clients: usize, active: usize) {
-    if n_clients > active {
-        ctx.telemetry().add_to_counter("loss.clients_lost", (n_clients - active) as u64);
+/// The preamble every edge+cloud cycle shares: the Loss-C draw, the
+/// server as the fault plan degrades it, its (fingerprint-keyed)
+/// allocation and — only when the plan can strike a client — the drawn
+/// class column.
+struct CycleSetup {
+    active: usize,
+    server: ServerModel,
+    allocation: Arc<Allocation>,
+    strike: Option<Strike>,
+}
+
+/// Per-client fault state of a cycle the plan can strike.
+struct Strike {
+    columns: FleetColumns,
+    brownouts: usize,
+    sensor_dropouts: usize,
+    /// The point's fault stream, positioned after the class draws.
+    frng: StdRng,
+}
+
+impl CycleSetup {
+    fn new(spec: &ScenarioSpec, n_clients: usize, ctx: &SimContext) -> Self {
+        let plan = ctx.fault_plan();
+        let active = active_clients(spec, n_clients, ctx);
+        let strike = plan.strikes_clients().then(|| {
+            let mut frng = ctx.fault_rng(n_clients as u64);
+            let columns = FleetColumns::draw(plan, active, &mut frng);
+            let (brownouts, sensor_dropouts) = columns.class_counts();
+            publish_columns(ctx.telemetry(), &columns);
+            Strike { columns, brownouts, sensor_dropouts, frng }
+        });
+        let server = plan.effective_server(&spec.server);
+        let allocation = ctx.cache().get_or_allocate_for(
+            active,
+            &server,
+            spec.policy,
+            spec.loss.transfer.as_ref(),
+            plan.fingerprint(),
+        );
+        CycleSetup { active, server, allocation, strike }
     }
 }
 
 /// The closed-form backend: the per-slot algebra of
 /// [`crate::simulation`]. Fastest; exact for the paper's synchronized
 /// slot model.
+///
+/// Under faults it prices exact brown-out / sensor draws and the
+/// expected retry and fallback mass of the geometric retry series.
+/// Server provisioning is pre-fault: the server cannot know which
+/// clients will fail, so it runs its full slot schedule.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClosedForm;
 
 impl CycleEngine for ClosedForm {
     fn evaluate(&self, spec: &ScenarioSpec, n_clients: usize, ctx: &SimContext) -> CycleReport {
-        if !ctx.fault_plan().is_none() {
-            return faults::closed_form_with_faults(spec, n_clients, ctx);
-        }
         let _span = ctx.telemetry().span("engine.cycle.closed_form");
-        let mut rng = ctx.point_rng(n_clients as u64);
-        let active = draw_active(&spec.loss, n_clients, &mut rng);
-        record_client_loss(ctx, n_clients, active);
-        let allocation = ctx.cache().get_or_allocate(
-            active,
-            &spec.server,
-            spec.policy,
-            spec.loss.transfer.as_ref(),
-        );
-        let server_total = servers_cycle_energy(&spec.server, &allocation, &spec.loss);
-        let edge_total = edge_cycle_energy(&spec.cloud_client, &allocation, &spec.loss);
-        CycleReport::from_parts(n_clients, active, allocation.n_servers(), edge_total, server_total)
+        let plan = ctx.fault_plan();
+        let s = CycleSetup::new(spec, n_clients, ctx);
+        let server_total = servers_cycle_energy(&s.server, &s.allocation, &spec.loss);
+        let mut edge_total = edge_cycle_energy(&spec.cloud_client, &s.allocation, &spec.loss);
+        let stats = match &s.strike {
+            None => FaultStats::unstruck(plan, s.active, s.active),
+            Some(st) => {
+                let uploaders = s.active - st.brownouts - st.sensor_dropouts;
+                let per_cloud =
+                    if s.active > 0 { edge_total / s.active as f64 } else { Joules::ZERO };
+                let p1 = plan.first_attempt_failure(spec.server.cycle);
+                let max = plan.retry.max_retries;
+                let p_exhaust = p1.powi(max as i32 + 1);
+                let expected_retries_per_uploader: f64 = (1..=max).map(|k| p1.powi(k as i32)).sum();
+                let tx_fallbacks = uploaders as f64 * p_exhaust;
+                let total_retries = uploaders as f64 * expected_retries_per_uploader;
+                let fallback_mass = st.brownouts as f64 + tx_fallbacks;
+                edge_total = edge_total
+                    + (spec.edge_client.cycle_energy() - per_cloud) * fallback_mass
+                    + retry_energy(&spec.cloud_client) * total_retries;
+                let fallbacks = st.brownouts as u64 + tx_fallbacks.round() as u64;
+                let stats = FaultStats {
+                    attempts: uploaders as u64 + total_retries.round() as u64,
+                    retries: total_retries.round() as u64,
+                    fallbacks,
+                    brownouts: st.brownouts as u64,
+                    sensor_dropouts: st.sensor_dropouts as u64,
+                    delivered: (s.active as u64)
+                        .saturating_sub(fallbacks + st.sensor_dropouts as u64),
+                };
+                publish_stats(ctx.telemetry(), &stats);
+                stats
+            }
+        };
+        CycleReport::new(
+            n_clients,
+            s.active,
+            s.allocation.n_servers(),
+            edge_total,
+            server_total,
+            stats,
+        )
     }
 }
 
@@ -514,27 +604,138 @@ impl CycleEngine for ClosedForm {
 /// machines ([`crate::timeline`]) for every server and client and
 /// integrates them. Slower than [`ClosedForm`] but validates it — the
 /// two must agree to numerical precision on the same allocation.
+///
+/// Under faults every client's transfer is attempted at its slot's
+/// scheduled start time and resolved exactly through the faults
+/// module's retry machinery, drawing outcomes in (server, slot, client)
+/// order from the point's fault stream.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EventTimeline;
 
 impl CycleEngine for EventTimeline {
     fn evaluate(&self, spec: &ScenarioSpec, n_clients: usize, ctx: &SimContext) -> CycleReport {
-        if !ctx.fault_plan().is_none() {
-            return faults::timeline_with_faults(spec, n_clients, ctx);
-        }
         let _span = ctx.telemetry().span("engine.cycle.timeline");
-        let mut rng = ctx.point_rng(n_clients as u64);
-        let active = draw_active(&spec.loss, n_clients, &mut rng);
-        record_client_loss(ctx, n_clients, active);
-        let allocation = ctx.cache().get_or_allocate(
-            active,
-            &spec.server,
-            spec.policy,
-            spec.loss.transfer.as_ref(),
-        );
-        let server_total = servers_energy_from_timelines(&spec.server, &allocation, &spec.loss);
-        let edge_total = clients_energy_from_timelines(&spec.cloud_client, &allocation, &spec.loss);
-        CycleReport::from_parts(n_clients, active, allocation.n_servers(), edge_total, server_total)
+        let plan = ctx.fault_plan();
+        let mut s = CycleSetup::new(spec, n_clients, ctx);
+        let server_total = servers_energy_from_timelines(&s.server, &s.allocation, &spec.loss);
+        let fallback_cost = spec.edge_client.cycle_energy();
+        let retry_cost = retry_energy(&spec.cloud_client);
+        let telemetry = ctx.telemetry();
+        // Causal tagging is opt-in (`Telemetry::with_tracing`): without it
+        // the event stream stays byte-identical to the untagged shape.
+        let causal = telemetry.tracing_active();
+        let trace_seed = ctx.point_seed(n_clients as u64);
+
+        let (mut delivered, mut fallbacks) = (0u64, 0u64);
+        // Starts at -0.0, the value of an empty `Iterator::sum`, so an
+        // empty cycle reports the sign `clients_energy_from_timelines`
+        // gives it (pinned by the NONE goldens).
+        let mut edge_total = Joules(-0.0);
+        let mut idx = 0usize;
+        for (count, sa) in s.allocation.groups() {
+            // Slot start times and per-slot client costs (loss-B stretch
+            // included) depend only on the shape: price them once per
+            // group, then replay them per server in server order.
+            let starts = slot_start_times(&s.server, &sa.slots, &spec.loss);
+            let slots: Vec<(Seconds, Joules, usize)> = sa
+                .slots
+                .iter()
+                .zip(starts)
+                .filter(|&(&k, _)| k > 0)
+                .map(|(&k, t0)| {
+                    (t0, client_timeline(&spec.cloud_client, k, &spec.loss).total_energy(), k)
+                })
+                .collect();
+            for _ in 0..*count {
+                for &(t0, slot_cost, k) in &slots {
+                    let Some(st) = s.strike.as_mut() else {
+                        edge_total += slot_cost * k as f64;
+                        continue;
+                    };
+                    // All clients of the slot share its cost and its
+                    // scheduled transfer start time; those who run their
+                    // routine to the upload (or to a dead sensor) pay it.
+                    let mut paying = 0usize;
+                    for _ in 0..k {
+                        let tc = TransferTrace {
+                            client: idx as u64,
+                            trace: if causal { trace_id(trace_seed, idx as u64) } else { 0 },
+                            retry_energy_j: retry_cost.value(),
+                            fallback_energy_j: fallback_cost.value(),
+                        };
+                        let class = st.columns.class(idx);
+                        let mut frng = CountingRng::new(&mut st.frng);
+                        let outcome = resolve_client(
+                            plan,
+                            class,
+                            t0,
+                            &mut frng,
+                            telemetry,
+                            causal.then_some(&tc),
+                        );
+                        let draws = frng.draws();
+                        st.columns.record_transfer(idx, outcome.attempts(), draws);
+                        if outcome.attempts() > 1 {
+                            edge_total += retry_cost * (outcome.attempts() - 1) as f64;
+                        }
+                        match outcome {
+                            Resolution::Dropped => paying += 1,
+                            Resolution::FellBack { .. } => {
+                                edge_total += fallback_cost;
+                                fallbacks += 1;
+                            }
+                            Resolution::Delivered { attempts, at } => {
+                                paying += 1;
+                                delivered += 1;
+                                if causal {
+                                    emit_delivered(
+                                        telemetry,
+                                        at.value(),
+                                        tc.trace,
+                                        tc.client,
+                                        attempts,
+                                        slot_cost.value(),
+                                    );
+                                }
+                            }
+                        }
+                        idx += 1;
+                    }
+                    edge_total += slot_cost * paying as f64;
+                }
+            }
+        }
+        let stats = match &mut s.strike {
+            None => FaultStats::unstruck(plan, s.active, s.active),
+            Some(st) => {
+                debug_assert_eq!(idx, s.active, "allocation must cover every active client");
+                // Attempt/retry totals come off the attempts column:
+                // chunked integer reductions over the pool, bit-identical
+                // at any thread count.
+                let stats = FaultStats {
+                    attempts: st.columns.total_attempts(),
+                    retries: st.columns.total_retries(),
+                    fallbacks,
+                    brownouts: st.brownouts as u64,
+                    sensor_dropouts: st.sensor_dropouts as u64,
+                    delivered,
+                };
+                if telemetry.is_enabled() {
+                    st.columns.fill_retry_energy(retry_cost);
+                    telemetry.observe("columns.retry_energy_j", st.columns.energy_total().value());
+                }
+                publish_stats(telemetry, &stats);
+                stats
+            }
+        };
+        CycleReport::new(
+            n_clients,
+            s.active,
+            s.allocation.n_servers(),
+            edge_total,
+            server_total,
+            stats,
+        )
     }
 }
 
@@ -550,75 +751,116 @@ impl CycleEngine for EventTimeline {
 /// and server energy reflects asynchronous overlap rather than shared
 /// slot windows — every upload bills its own receive time, where a
 /// synchronized slot amortizes one window over its whole occupancy.
+///
+/// Under faults each client's transfer is resolved at its random
+/// arrival time; failed attempts never occupy the uplink, successful
+/// ones arrive at their final attempt time. Each server derives its own
+/// arrival and fault streams from the point seed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Des;
 
 impl CycleEngine for Des {
     fn evaluate(&self, spec: &ScenarioSpec, n_clients: usize, ctx: &SimContext) -> CycleReport {
-        if !ctx.fault_plan().is_none() {
-            return faults::des_with_faults(spec, n_clients, ctx);
-        }
         let _span = ctx.telemetry().span("engine.cycle.des");
-        let mut rng = ctx.point_rng(n_clients as u64);
-        let active = draw_active(&spec.loss, n_clients, &mut rng);
-        record_client_loss(ctx, n_clients, active);
-        let allocation = ctx.cache().get_or_allocate(
-            active,
-            &spec.server,
-            spec.policy,
-            spec.loss.transfer.as_ref(),
-        );
+        let plan = ctx.fault_plan();
+        let s = CycleSetup::new(spec, n_clients, ctx);
         let point_seed = ctx.point_seed(n_clients as u64);
-        // Each server owns an independent salted RNG stream, so the
-        // per-server simulations parallelize; folding the reports in
-        // server order keeps the energy sum bit-identical to the serial
-        // loop regardless of the worker count. Jobs carry the global
-        // index of their first client so causal trace ids (derived from
-        // the point seed and the global index) are thread-count-stable.
-        let mut jobs: Vec<(usize, usize, usize)> = Vec::with_capacity(allocation.n_servers());
+        let fault_seed = ctx.fault_seed(n_clients as u64);
+        // One job per server: (server index, global index of its first
+        // client, clients). Each server owns independent salted RNG
+        // streams, so the servers fan out over the pool; the fold below
+        // walks the results in server order, keeping the energy sum
+        // bit-identical to the serial loop at any thread count. Causal
+        // trace ids derive from the point seed and the global client
+        // index, so they are thread-count-stable too.
+        let mut jobs: Vec<(usize, usize, usize)> = Vec::with_capacity(s.allocation.n_servers());
         let mut base = 0usize;
-        for (s, sa) in allocation.servers().enumerate() {
-            jobs.push((s, base, sa.n_clients()));
+        for (i, sa) in s.allocation.servers().enumerate() {
+            jobs.push((i, base, sa.n_clients()));
             base += sa.n_clients();
         }
+        debug_assert_eq!(base, s.active, "allocation must cover every active client");
+        let classes = s.strike.as_ref().map(|st| st.columns.classes());
         let telemetry = ctx.telemetry();
         let causal = telemetry.tracing_active();
         let deliver_cost = spec.cloud_client.cycle_energy();
+        let fallback_cost = spec.edge_client.cycle_energy();
+        let retry_cost = retry_energy(&spec.cloud_client);
         // Uniform populations leave at most two distinct server shapes
         // after the RLE allocation; fold each shape's repeated-addition
-        // constants once and share them across the fan-out.
-        let memo = ShapeMemo::for_server(&spec.server, jobs.iter().map(|&(_, _, k)| k));
-        let reports: Vec<Joules> = jobs
+        // constants once and share them across the fan-out. Servers whose
+        // transfers all resolve cleanly keep their shape and hit the
+        // memo; divergent counts fold inline.
+        let memo = ShapeMemo::for_server(&s.server, jobs.iter().map(|&(_, _, k)| k));
+        let outs: Vec<(Joules, u64, u64, u64, u64)> = jobs
             .par_iter()
-            .map(|&(s, base, k)| {
-                let mut server_rng =
-                    StdRng::seed_from_u64(point_seed ^ (s as u64 + 1).wrapping_mul(GOLDEN_GAMMA));
+            .map(|&(i, base, k)| {
+                let salt = (i as u64 + 1).wrapping_mul(GOLDEN_GAMMA);
+                let mut server_rng = StdRng::seed_from_u64(point_seed ^ salt);
                 let tr = DesTrace {
                     point_seed,
                     base,
                     deliver_energy_j: deliver_cost.value(),
-                    retry_energy_j: 0.0,
-                    fallback_energy_j: 0.0,
+                    retry_energy_j: retry_cost.value(),
+                    fallback_energy_j: fallback_cost.value(),
                 };
-                simulate_async_cycle_memoized(
-                    k,
-                    &spec.server,
-                    &mut server_rng,
+                let run = DesRun {
                     telemetry,
-                    causal.then_some(&tr),
-                    Some(&memo),
-                )
-                .server_energy
+                    causal: causal.then_some(&tr),
+                    memo: Some(&memo),
+                    faults: classes.map(|c| DesFaults {
+                        plan,
+                        classes: c.slice(base..base + k),
+                        seed: fault_seed ^ salt,
+                    }),
+                };
+                // Keep only what the fold reads: with the rest of the
+                // report dropped here, the compiler can skip the unused
+                // latency fold and completion column (about 20 % of the
+                // clean 10⁶ point, measured).
+                let out = simulate_async_cycle_with(k, &s.server, &mut server_rng, &run);
+                (out.report.server_energy, out.attempts, out.retries, out.delivered, out.fallbacks)
             })
             .collect();
         let mut server_total = Joules::ZERO;
-        for e in reports {
+        let (mut attempts, mut retries, mut delivered, mut fallbacks) = (0u64, 0u64, 0u64, 0u64);
+        for &(e, a, r, d, f) in &outs {
             server_total += e;
+            attempts += a;
+            retries += r;
+            delivered += d;
+            fallbacks += f;
         }
-        // Unsynchronized uploads see no slot contention: each client pays
-        // its nominal cycle, penalty-free.
-        let edge_total = spec.cloud_client.cycle_energy() * active as f64;
-        CycleReport::from_parts(n_clients, active, allocation.n_servers(), edge_total, server_total)
+        let sensor_dropouts = s.strike.as_ref().map_or(0, |st| st.sensor_dropouts as u64);
+        // Unsynchronized uploads see no slot contention (penalty-free
+        // cycle cost); sensor-dropout clients still run their full
+        // routine.
+        let edge_total = deliver_cost * (delivered + sensor_dropouts) as f64
+            + fallback_cost * fallbacks as f64
+            + retry_cost * retries as f64;
+        let stats = match &s.strike {
+            None => FaultStats::unstruck(plan, s.active, s.active),
+            Some(st) => {
+                let stats = FaultStats {
+                    attempts,
+                    retries,
+                    fallbacks,
+                    brownouts: st.brownouts as u64,
+                    sensor_dropouts,
+                    delivered,
+                };
+                publish_stats(telemetry, &stats);
+                stats
+            }
+        };
+        CycleReport::new(
+            n_clients,
+            s.active,
+            s.allocation.n_servers(),
+            edge_total,
+            server_total,
+            stats,
+        )
     }
 }
 

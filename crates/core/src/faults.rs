@@ -4,8 +4,9 @@
 //! draws. A production orchestrator must also survive dynamic faults:
 //! cloud outage windows, flaky links, degraded servers, battery
 //! brown-outs and dead sensors. This module defines a seedable
-//! [`FaultPlan`] carried by [`SimContext`] and threaded through all
-//! three backends:
+//! [`FaultPlan`] carried by [`SimContext`](crate::engine::SimContext)
+//! and the per-client transfer machinery every backend in
+//! [`crate::engine`] applies it with:
 //!
 //! * **closed form** — expected-value approximation: the first-attempt
 //!   failure probability combines the outage's cycle fraction with the
@@ -16,7 +17,13 @@
 //!   window and the per-transfer loss draw, and retried on the jittered
 //!   exponential backoff schedule of [`RetryPolicy`];
 //! * **DES** — exact event-level injection at each client's random
-//!   arrival time (see [`crate::des::simulate_async_cycle_faulted`]).
+//!   arrival time (see [`crate::des::simulate_async_cycle_with`]).
+//!
+//! Each backend has one cycle body; the fault-free run is its ordinary
+//! case. A plan that cannot strike a client
+//! ([`FaultPlan::strikes_clients`] is false, as for [`FaultPlan::NONE`])
+//! does no per-client fault work: no class column, no fault-stream draw,
+//! no `fault.*` or `columns.*` metric.
 //!
 //! The graceful-degradation rule is shared: a client whose radio is
 //! browned out, or whose transfer exhausts the retry budget, falls back
@@ -42,26 +49,21 @@
 //!   runs its routine (energy unchanged) but the sample is lost.
 //!
 //! Determinism: all fault draws come from a dedicated stream
-//! ([`SimContext::fault_rng`], the point seed XOR a dedicated gamma), so
-//! the same seed produces bit-identical results at any thread count,
-//! and a plan with zero probabilities reproduces the fault-free numbers.
+//! ([`SimContext::fault_rng`](crate::engine::SimContext::fault_rng), the
+//! point seed XOR a dedicated gamma), so the same seed produces
+//! bit-identical results at any thread count, and a plan with zero
+//! probabilities reproduces the fault-free numbers.
 
 use std::fmt;
 use std::str::FromStr;
 
 use crate::client::ClientModel;
-use crate::columns::{publish_columns, CountingRng, FleetColumns};
-use crate::engine::{draw_active, record_client_loss, ScenarioSpec, SimContext, GOLDEN_GAMMA};
 use crate::server::ServerModel;
-use crate::simulation::{edge_cycle_energy, servers_cycle_energy, CycleReport};
-use crate::timeline::{client_timeline, servers_energy_from_timelines, slot_start_times};
 use pb_energy::battery::Battery;
-use pb_telemetry::trace::{trace_id, SpanCtx, HOP_TERMINAL};
+use pb_telemetry::trace::{SpanCtx, HOP_TERMINAL};
 use pb_telemetry::Telemetry;
 use pb_units::{Joules, Seconds, Watts};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
+use rand::Rng;
 
 /// XOR'd into a point seed to derive its independent fault stream
 /// (disjoint from the loss-draw stream by construction).
@@ -160,9 +162,12 @@ impl Brownout {
 
 /// A deterministic, seedable fault plan for one simulation run.
 ///
-/// Carried by [`SimContext`] (see [`SimContext::with_fault_plan`]); the
-/// structural [`FaultPlan::NONE`] takes the exact fault-free code path
-/// in every backend, reproducing pre-fault results bit for bit.
+/// Carried by [`SimContext`](crate::engine::SimContext) (see
+/// [`SimContext::with_fault_plan`](crate::engine::SimContext::with_fault_plan)).
+/// Every backend runs one cycle body under every plan; a plan that
+/// cannot strike a client ([`FaultPlan::strikes_clients`]) does no
+/// per-client fault work in it, and [`FaultPlan::NONE`] reproduces the
+/// pre-fault results bit for bit.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Cloud-outage window, if any.
@@ -181,7 +186,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The fault-free plan (every backend takes its pre-fault path).
+    /// The fault-free plan: it strikes no client, degrades no server and
+    /// keeps no fault accounting ([`FaultStats`] all zero).
     pub const NONE: FaultPlan = FaultPlan {
         outage: None,
         packet_loss: 0.0,
@@ -205,12 +211,28 @@ impl FaultPlan {
         }
     }
 
-    /// Structurally equal to [`FaultPlan::NONE`]? Backends use this to
-    /// select the exact fault-free code path. A plan with zero
-    /// probabilities but, say, a customized retry policy still runs the
-    /// faulted path — and must produce the same energies (tested).
+    /// Structurally equal to [`FaultPlan::NONE`]? Such a run keeps no
+    /// fault accounting: its reports carry [`FaultStats::default`], and
+    /// its allocations share the fault-free cache entries
+    /// ([`FaultPlan::fingerprint`] 0). A plan with zero probabilities but,
+    /// say, a customized retry policy is not `NONE`: it counts every
+    /// active client as delivered on its first attempt — and produces the
+    /// same energies (tested).
     pub fn is_none(&self) -> bool {
         *self == Self::NONE
+    }
+
+    /// Can the plan strike any client — brown out its radio, drop its
+    /// sample, or fail one of its transfer attempts? A plan that cannot
+    /// (zero probabilities, no non-empty outage window; any retry policy
+    /// and slow-down) costs no per-client fault work in any backend: no
+    /// class column, no fault-stream draw, no `fault.*` or `columns.*`
+    /// metric.
+    pub fn strikes_clients(&self) -> bool {
+        self.outage.is_some_and(|w| w.end > w.start)
+            || self.packet_loss > 0.0
+            || self.brownout.is_some_and(|b| b.probability > 0.0)
+            || self.sensor_dropout > 0.0
     }
 
     /// A cache-key fingerprint of the plan: 0 for [`FaultPlan::NONE`],
@@ -415,6 +437,20 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
+    /// The accounting of a cycle no fault struck: `attempts` first tries
+    /// and `delivered` samples, nothing else. Under [`FaultPlan::NONE`]
+    /// no fault layer is active and the accounting stays all zero.
+    pub(crate) fn unstruck(plan: &FaultPlan, attempts: usize, delivered: usize) -> Self {
+        if plan.is_none() {
+            return FaultStats::default();
+        }
+        FaultStats {
+            attempts: attempts as u64,
+            delivered: delivered as u64,
+            ..FaultStats::default()
+        }
+    }
+
     /// Samples processed somewhere — delivered to the cloud or inferred
     /// at the edge after a fallback.
     pub fn samples_processed(&self) -> u64 {
@@ -445,9 +481,9 @@ pub(crate) fn retry_energy(client: &ClientModel) -> Joules {
     }
 }
 
-/// Causal-trace context for one uploader's transfer resolution: the
+/// Causal-trace context for one client's fault resolution: the
 /// client's global identity plus the per-hop energy attributions only
-/// the call site knows. `None` keeps [`exact_transfer`]'s event stream
+/// the call site knows. `None` keeps [`resolve_client`]'s event stream
 /// byte-identical to the untagged historical shape; the fault draws are
 /// never affected either way.
 pub(crate) struct TransferTrace {
@@ -462,9 +498,9 @@ pub(crate) struct TransferTrace {
 }
 
 /// Exact per-client transfer resolution: attempt at `t0`, fail on outage
-/// or packet loss, retry on the backoff schedule. Returns the attempt
-/// count and the successful attempt's start time (`None` = budget
-/// exhausted, the client falls back to edge inference). Emits
+/// or packet loss, retry on the backoff schedule. Returns the delivery
+/// (attempt count and the successful attempt's start time) or, once the
+/// budget is exhausted, the fallback to edge inference. Emits
 /// `fault.{outage,packet_drop,retry,fallback}` trace events when the
 /// telemetry sink records events; with a [`TransferTrace`] each event
 /// additionally carries the causal span chain (attempt *k* is hop *k*,
@@ -476,7 +512,7 @@ pub(crate) fn exact_transfer<R: Rng + ?Sized>(
     rng: &mut R,
     telemetry: &Telemetry,
     causal: Option<&TransferTrace>,
-) -> (u64, Option<Seconds>) {
+) -> Resolution {
     let trace = telemetry.events_recording();
     let mut t = t0.value();
     let max = plan.retry.max_retries;
@@ -486,7 +522,7 @@ pub(crate) fn exact_transfer<R: Rng + ?Sized>(
         let in_outage = plan.outage.is_some_and(|w| w.contains(Seconds(t)));
         let dropped = !in_outage && plan.packet_loss > 0.0 && rng.gen::<f64>() < plan.packet_loss;
         if !in_outage && !dropped {
-            return (u64::from(attempt) + 1, Some(Seconds(t)));
+            return Resolution::Delivered { attempts: u64::from(attempt) + 1, at: Seconds(t) };
         }
         saw_outage |= in_outage;
         saw_drop |= dropped;
@@ -543,7 +579,7 @@ pub(crate) fn exact_transfer<R: Rng + ?Sized>(
             }
         }
     }
-    (u64::from(max) + 1, None)
+    Resolution::FellBack { attempts: u64::from(max) + 1 }
 }
 
 /// Emits the root `trace.sample` span for client `client` of trace
@@ -586,38 +622,82 @@ pub(crate) fn emit_delivered(
     );
 }
 
-/// Emits the terminal `fault.fallback` span for a browned-out client:
-/// no attempts were possible, the cause is the brown-out itself.
-pub(crate) fn emit_brownout_fallback(
-    telemetry: &Telemetry,
-    t: f64,
-    trace: u64,
-    client: u64,
-    energy_j: f64,
-) {
-    telemetry.trace_event(
-        t,
-        "fault.fallback",
-        SpanCtx::root(trace).child(HOP_TERMINAL),
-        vec![
-            ("client", client.into()),
-            ("attempts", 0u64.into()),
-            ("cause", "brownout".into()),
-            ("energy_j", energy_j.into()),
-        ],
-    );
+/// How one client's cycle ended under a fault plan.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Resolution {
+    /// The sensor recorded nothing: the client ran its routine but has
+    /// no sample to upload.
+    Dropped,
+    /// The client fell back to edge inference after `attempts` transfer
+    /// attempts (0 for a browned-out radio).
+    FellBack { attempts: u64 },
+    /// The upload got through on attempt `attempts`, starting at `at`.
+    Delivered { attempts: u64, at: Seconds },
 }
 
-/// The untagged `fault.fallback` for a browned-out client, emitted
-/// whenever events are recorded without causal tags: every brown-out is
-/// a flight-recorder dump trigger, traced or not. Same `t0`/`attempts`/
-/// `cause` fields as the tagged form, without the span and attribution.
-pub(crate) fn emit_untagged_brownout_fallback(telemetry: &Telemetry, t: f64) {
-    telemetry.event(
-        t,
-        "fault.fallback",
-        vec![("t0", t.into()), ("attempts", 0u64.into()), ("cause", "brownout".into())],
-    );
+impl Resolution {
+    /// Transfer attempts the client made.
+    pub(crate) fn attempts(self) -> u64 {
+        match self {
+            Resolution::Dropped => 0,
+            Resolution::FellBack { attempts } | Resolution::Delivered { attempts, .. } => attempts,
+        }
+    }
+}
+
+/// Resolves one client of drawn `class` whose transfer would start at
+/// `t`: a brown-out falls back at once, a sensor dropout uploads
+/// nothing, and an uploader goes through [`exact_transfer`]. With a
+/// [`TransferTrace`] the client's root `trace.sample` span comes first,
+/// then its fault spans; without one, a brown-out still records an
+/// untagged `fault.fallback` whenever events are recorded (every
+/// brown-out is a flight-recorder dump trigger, traced or not).
+pub(crate) fn resolve_client<R: Rng + ?Sized>(
+    plan: &FaultPlan,
+    class: ClientClass,
+    t: Seconds,
+    rng: &mut R,
+    telemetry: &Telemetry,
+    causal: Option<&TransferTrace>,
+) -> Resolution {
+    if let Some(tc) = causal {
+        let name = match class {
+            ClientClass::Uploader => "uploader",
+            ClientClass::Brownout => "brownout",
+            ClientClass::SensorDropout => "dropout",
+        };
+        emit_sample(telemetry, t.value(), tc.trace, tc.client, name);
+    }
+    match class {
+        ClientClass::Brownout => {
+            match causal {
+                Some(tc) => telemetry.trace_event(
+                    t.value(),
+                    "fault.fallback",
+                    SpanCtx::root(tc.trace).child(HOP_TERMINAL),
+                    vec![
+                        ("client", tc.client.into()),
+                        ("attempts", 0u64.into()),
+                        ("cause", "brownout".into()),
+                        ("energy_j", tc.fallback_energy_j.into()),
+                    ],
+                ),
+                None if telemetry.events_recording() => telemetry.event(
+                    t.value(),
+                    "fault.fallback",
+                    vec![
+                        ("t0", t.value().into()),
+                        ("attempts", 0u64.into()),
+                        ("cause", "brownout".into()),
+                    ],
+                ),
+                None => {}
+            }
+            Resolution::FellBack { attempts: 0 }
+        }
+        ClientClass::SensorDropout => Resolution::Dropped,
+        ClientClass::Uploader => exact_transfer(plan, t, rng, telemetry, causal),
+    }
 }
 
 /// Mirrors a cycle's fault accounting into the `fault.*` counters.
@@ -633,352 +713,14 @@ pub(crate) fn publish_stats(telemetry: &Telemetry, stats: &FaultStats) {
     telemetry.add_to_counter("fault.delivered", stats.delivered);
 }
 
-/// Shared faulted-cycle preamble: loss-C draw, the columnar population
-/// state, the degraded server and its (fingerprint-keyed) allocation.
-struct FaultedSetup {
-    active: usize,
-    columns: FleetColumns,
-    brownouts: usize,
-    sensor_dropouts: usize,
-    eff: ServerModel,
-    allocation: std::sync::Arc<crate::allocator::Allocation>,
-    frng: StdRng,
-}
-
-fn setup(
-    spec: &ScenarioSpec,
-    n_clients: usize,
-    ctx: &SimContext,
-    plan: &FaultPlan,
-) -> FaultedSetup {
-    let mut rng = ctx.point_rng(n_clients as u64);
-    let active = draw_active(&spec.loss, n_clients, &mut rng);
-    record_client_loss(ctx, n_clients, active);
-    let mut frng = ctx.fault_rng(n_clients as u64);
-    let columns = FleetColumns::draw(plan, active, &mut frng);
-    let (brownouts, sensor_dropouts) = columns.class_counts();
-    publish_columns(ctx.telemetry(), &columns);
-    let eff = plan.effective_server(&spec.server);
-    let allocation = ctx.cache().get_or_allocate_for(
-        active,
-        &eff,
-        spec.policy,
-        spec.loss.transfer.as_ref(),
-        plan.fingerprint(),
-    );
-    FaultedSetup { active, columns, brownouts, sensor_dropouts, eff, allocation, frng }
-}
-
-/// Closed-form backend under a fault plan: exact brown-out / sensor
-/// draws, expected-value retry and fallback mass from the geometric
-/// retry series. Server provisioning is pre-fault: the server cannot
-/// know which clients will fail, so it runs its full slot schedule.
-pub(crate) fn closed_form_with_faults(
-    spec: &ScenarioSpec,
-    n_clients: usize,
-    ctx: &SimContext,
-) -> CycleReport {
-    let _span = ctx.telemetry().span("engine.cycle.closed_form");
-    let plan = ctx.fault_plan();
-    let s = setup(spec, n_clients, ctx, plan);
-    let uploaders = s.active - s.brownouts - s.sensor_dropouts;
-
-    let server_total = servers_cycle_energy(&s.eff, &s.allocation, &spec.loss);
-    let base_cloud = edge_cycle_energy(&spec.cloud_client, &s.allocation, &spec.loss);
-    let per_cloud = if s.active > 0 { base_cloud / s.active as f64 } else { Joules::ZERO };
-
-    let p1 = plan.first_attempt_failure(spec.server.cycle);
-    let max = plan.retry.max_retries;
-    let p_exhaust = p1.powi(max as i32 + 1);
-    let expected_retries_per_uploader: f64 = (1..=max).map(|k| p1.powi(k as i32)).sum();
-    let tx_fallbacks = uploaders as f64 * p_exhaust;
-    let total_retries = uploaders as f64 * expected_retries_per_uploader;
-    let fallback_mass = s.brownouts as f64 + tx_fallbacks;
-
-    let fallback_cost = spec.edge_client.cycle_energy();
-    let edge_total = base_cloud
-        + (fallback_cost - per_cloud) * fallback_mass
-        + retry_energy(&spec.cloud_client) * total_retries;
-
-    let fallbacks = s.brownouts as u64 + tx_fallbacks.round() as u64;
-    let stats = FaultStats {
-        attempts: uploaders as u64 + total_retries.round() as u64,
-        retries: total_retries.round() as u64,
-        fallbacks,
-        brownouts: s.brownouts as u64,
-        sensor_dropouts: s.sensor_dropouts as u64,
-        delivered: (s.active as u64).saturating_sub(fallbacks + s.sensor_dropouts as u64),
-    };
-    publish_stats(ctx.telemetry(), &stats);
-    CycleReport::from_parts_with_faults(
-        n_clients,
-        s.active,
-        s.allocation.n_servers(),
-        edge_total,
-        server_total,
-        stats,
-    )
-}
-
-/// Event-timeline backend under a fault plan: every client's transfer is
-/// attempted at its slot's scheduled start time and resolved exactly
-/// through [`exact_transfer`]. Fault outcomes are drawn in
-/// (server, slot, client) order from the point's fault stream.
-pub(crate) fn timeline_with_faults(
-    spec: &ScenarioSpec,
-    n_clients: usize,
-    ctx: &SimContext,
-) -> CycleReport {
-    let _span = ctx.telemetry().span("engine.cycle.timeline");
-    let plan = ctx.fault_plan();
-    let mut s = setup(spec, n_clients, ctx, plan);
-
-    let server_total = servers_energy_from_timelines(&s.eff, &s.allocation, &spec.loss);
-    let fallback_cost = spec.edge_client.cycle_energy();
-    let retry_cost = retry_energy(&spec.cloud_client);
-    let telemetry = ctx.telemetry();
-    // Causal tagging is opt-in (`Telemetry::with_tracing`): without it
-    // the event stream stays byte-identical to the untagged shape.
-    let causal = telemetry.tracing_active();
-    let recording = telemetry.events_recording();
-    let trace_seed = ctx.point_seed(n_clients as u64);
-
-    let mut stats = FaultStats {
-        brownouts: s.brownouts as u64,
-        sensor_dropouts: s.sensor_dropouts as u64,
-        fallbacks: s.brownouts as u64,
-        ..FaultStats::default()
-    };
-    let mut edge_total = Joules::ZERO;
-    let mut idx = 0usize;
-    for sa in s.allocation.servers() {
-        let starts = slot_start_times(&s.eff, &sa.slots, &spec.loss);
-        for (i, &k) in sa.slots.iter().enumerate() {
-            if k == 0 {
-                continue;
-            }
-            // All clients of the slot share its cost (loss-B stretch
-            // included) and its scheduled transfer start time.
-            let slot_cost = client_timeline(&spec.cloud_client, k, &spec.loss).total_energy();
-            let t0 = starts[i];
-            let mut paying_slot_cost = 0usize;
-            for _ in 0..k {
-                let tid = if causal { trace_id(trace_seed, idx as u64) } else { 0 };
-                match s.columns.class(idx) {
-                    ClientClass::Brownout => {
-                        edge_total += fallback_cost;
-                        if causal {
-                            emit_sample(telemetry, t0.value(), tid, idx as u64, "brownout");
-                            emit_brownout_fallback(
-                                telemetry,
-                                t0.value(),
-                                tid,
-                                idx as u64,
-                                fallback_cost.value(),
-                            );
-                        } else if recording {
-                            emit_untagged_brownout_fallback(telemetry, t0.value());
-                        }
-                    }
-                    ClientClass::SensorDropout => {
-                        paying_slot_cost += 1;
-                        if causal {
-                            emit_sample(telemetry, t0.value(), tid, idx as u64, "dropout");
-                        }
-                    }
-                    ClientClass::Uploader => {
-                        let tc = TransferTrace {
-                            client: idx as u64,
-                            trace: tid,
-                            retry_energy_j: retry_cost.value(),
-                            fallback_energy_j: fallback_cost.value(),
-                        };
-                        if causal {
-                            emit_sample(telemetry, t0.value(), tid, idx as u64, "uploader");
-                        }
-                        let mut frng = CountingRng::new(&mut s.frng);
-                        let (attempts, success) =
-                            exact_transfer(plan, t0, &mut frng, telemetry, causal.then_some(&tc));
-                        let draws = frng.draws();
-                        s.columns.record_transfer(idx, attempts, draws);
-                        if attempts > 1 {
-                            edge_total += retry_cost * (attempts - 1) as f64;
-                        }
-                        if let Some(t_eff) = success {
-                            paying_slot_cost += 1;
-                            stats.delivered += 1;
-                            if causal {
-                                emit_delivered(
-                                    telemetry,
-                                    t_eff.value(),
-                                    tid,
-                                    idx as u64,
-                                    attempts,
-                                    slot_cost.value(),
-                                );
-                            }
-                        } else {
-                            edge_total += fallback_cost;
-                            stats.fallbacks += 1;
-                        }
-                    }
-                }
-                idx += 1;
-            }
-            edge_total += slot_cost * paying_slot_cost as f64;
-        }
-    }
-    debug_assert_eq!(idx, s.active, "allocation must cover every active client");
-    // Attempt/retry totals come off the attempts column: chunked integer
-    // reductions over the pool, bit-identical at any thread count.
-    stats.attempts = s.columns.total_attempts();
-    stats.retries = s.columns.total_retries();
-    if telemetry.is_enabled() {
-        s.columns.fill_retry_energy(retry_cost);
-        telemetry.observe("columns.retry_energy_j", s.columns.energy_total().value());
-    }
-    publish_stats(telemetry, &stats);
-    CycleReport::from_parts_with_faults(
-        n_clients,
-        s.active,
-        s.allocation.n_servers(),
-        edge_total,
-        server_total,
-        stats,
-    )
-}
-
-/// DES backend under a fault plan: exact event-level injection at each
-/// client's random arrival time; failed attempts never occupy the
-/// uplink, successful ones arrive at their final attempt time. Each
-/// server derives its own arrival and fault streams from the point seed.
-pub(crate) fn des_with_faults(
-    spec: &ScenarioSpec,
-    n_clients: usize,
-    ctx: &SimContext,
-) -> CycleReport {
-    let _span = ctx.telemetry().span("engine.cycle.des");
-    let plan = ctx.fault_plan();
-    let s = setup(spec, n_clients, ctx, plan);
-
-    let point_seed = ctx.point_seed(n_clients as u64);
-    let fault_seed = ctx.fault_seed(n_clients as u64);
-    // Fallbacks accumulate from the per-server reports, which already
-    // count their brown-out-class clients — don't seed them here too.
-    let mut stats = FaultStats {
-        brownouts: s.brownouts as u64,
-        sensor_dropouts: s.sensor_dropouts as u64,
-        ..FaultStats::default()
-    };
-    // One job per server: (server index, class-column offset, clients).
-    // Each server derives its own RNG streams from the point seed, so
-    // the servers are independent and fan out over the pool; the fold
-    // below walks the results in server order, keeping the energy sum
-    // bit-identical to the historical serial loop at any thread count.
-    let mut jobs: Vec<(usize, usize, usize)> = Vec::with_capacity(s.allocation.n_servers());
-    let mut offset = 0usize;
-    for (i, sa) in s.allocation.servers().enumerate() {
-        let k = sa.n_clients();
-        jobs.push((i, offset, k));
-        offset += k;
-    }
-    debug_assert_eq!(offset, s.active, "allocation must cover every active client");
-    let classes = s.columns.classes();
-    let telemetry = ctx.telemetry();
-    let causal = telemetry.tracing_active();
-    let deliver_cost = spec.cloud_client.cycle_energy();
-    let fallback_cost = spec.edge_client.cycle_energy();
-    let retry_cost = retry_energy(&spec.cloud_client);
-    // Shape memo over the degraded server: servers whose every transfer
-    // resolves cleanly keep their allocation shape and hit the memo;
-    // divergent counts fold inline.
-    let memo = crate::des::ShapeMemo::for_server(&s.eff, jobs.iter().map(|&(_, _, k)| k));
-    let outs: Vec<crate::des::FaultedAsyncReport> = jobs
-        .par_iter()
-        .map(|&(i, offset, k)| {
-            let salt = (i as u64 + 1).wrapping_mul(GOLDEN_GAMMA);
-            let mut server_rng = StdRng::seed_from_u64(point_seed ^ salt);
-            let mut server_frng = StdRng::seed_from_u64(fault_seed ^ salt);
-            // Trace ids derive from the point seed and the client's
-            // *global* index (`offset + local`), so tags are bit-stable
-            // no matter how the jobs land on the worker pool.
-            let tr = crate::des::DesTrace {
-                point_seed,
-                base: offset,
-                deliver_energy_j: deliver_cost.value(),
-                retry_energy_j: retry_cost.value(),
-                fallback_energy_j: fallback_cost.value(),
-            };
-            crate::des::simulate_async_cycle_faulted(
-                k,
-                &s.eff,
-                &mut server_rng,
-                &mut server_frng,
-                plan,
-                classes.slice(offset..offset + k),
-                telemetry,
-                causal.then_some(&tr),
-                Some(&memo),
-            )
-        })
-        .collect();
-    let mut server_total = Joules::ZERO;
-    for out in &outs {
-        server_total += out.report.server_energy;
-        stats.attempts += out.attempts;
-        stats.retries += out.retries;
-        stats.delivered += out.delivered;
-        stats.fallbacks += out.fallbacks;
-    }
-
-    // Unsynchronized uploads see no slot contention (penalty-free cycle
-    // cost); sensor-dropout clients still run their full routine.
-    let edge_total = deliver_cost * (stats.delivered + stats.sensor_dropouts) as f64
-        + fallback_cost * stats.fallbacks as f64
-        + retry_cost * stats.retries as f64;
-    publish_stats(ctx.telemetry(), &stats);
-    CycleReport::from_parts_with_faults(
-        n_clients,
-        s.active,
-        s.allocation.n_servers(),
-        edge_total,
-        server_total,
-        stats,
-    )
-}
-
-/// Pure-edge side under a fault plan: nodes never touch the network, so
-/// outages, packet loss and radio brown-outs cannot strike them — only
-/// sensor dropouts cost samples (the node still runs its full routine,
-/// so energy is unchanged). The classes come from the same fault stream
-/// as the cloud side, so per-class counts match across scenarios.
-pub(crate) fn edge_with_faults(
-    spec: &ScenarioSpec,
-    n_clients: usize,
-    ctx: &SimContext,
-) -> CycleReport {
-    let _span = ctx.telemetry().span("engine.cycle.edge");
-    let plan = ctx.fault_plan();
-    let mut rng = ctx.point_rng(n_clients as u64);
-    let active = draw_active(&spec.loss, n_clients, &mut rng);
-    record_client_loss(ctx, n_clients, active);
-    let edge_total = spec.edge_client.cycle_energy() * active as f64;
-    let mut frng = ctx.fault_rng(n_clients as u64);
-    let columns = FleetColumns::draw(plan, active, &mut frng);
-    let (_, sensor_dropouts) = columns.class_counts();
-    let stats = FaultStats {
-        sensor_dropouts: sensor_dropouts as u64,
-        delivered: (active - sensor_dropouts) as u64,
-        ..FaultStats::default()
-    };
-    CycleReport::from_parts_with_faults(n_clients, active, 0, edge_total, Joules::ZERO, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columns::FleetColumns;
     use crate::scenario::presets;
     use crate::ServiceKind;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn plan_with(f: impl FnOnce(&mut FaultPlan)) -> FaultPlan {
         let mut p = FaultPlan::NONE;
@@ -1131,18 +873,23 @@ mod tests {
             p.retry.base_backoff = Seconds(30.0);
         });
         let tel = Telemetry::disabled();
-        let (attempts, success) =
+        let outcome =
             exact_transfer(&plan, Seconds(0.0), &mut StdRng::seed_from_u64(1), &tel, None);
-        assert_eq!(attempts, 2, "one retry at t = 30 s clears the window");
-        assert_eq!(success, Some(Seconds(30.0)));
+        assert_eq!(
+            outcome,
+            Resolution::Delivered { attempts: 2, at: Seconds(30.0) },
+            "one retry at t = 30 s clears the window"
+        );
         // Retries that cannot escape the window exhaust the budget.
         let stuck = plan_with(|p| {
             p.outage = Some(OutageWindow::new(Seconds(0.0), Seconds(1e9)));
         });
-        let (attempts, success) =
+        let outcome =
             exact_transfer(&stuck, Seconds(10.0), &mut StdRng::seed_from_u64(1), &tel, None);
-        assert_eq!(attempts, 1 + u64::from(stuck.retry.max_retries));
-        assert_eq!(success, None);
+        assert_eq!(
+            outcome,
+            Resolution::FellBack { attempts: 1 + u64::from(stuck.retry.max_retries) }
+        );
     }
 
     #[test]

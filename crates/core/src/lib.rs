@@ -57,8 +57,8 @@ pub use allocator::{Allocation, FillPolicy, ServerAllocation};
 pub use client::{Action, ClientModel};
 pub use columns::{ClassView, FleetColumns, TransferColumns};
 pub use des::{
-    simulate_async_cycle, simulate_async_cycle_faulted, simulate_async_cycle_memoized,
-    AsyncCycleReport, DesTrace, FaultedAsyncReport, ShapeMemo,
+    simulate_async_cycle, simulate_async_cycle_memoized, simulate_async_cycle_with,
+    AsyncCycleReport, DesFaults, DesRun, DesRunReport, DesTrace, ShapeMemo,
 };
 pub use engine::{AllocationCache, Backend, CycleEngine, ScenarioSpec, SimContext};
 pub use faults::{Brownout, ClientClass, FaultPlan, FaultStats, OutageWindow, RetryPolicy};

@@ -38,24 +38,7 @@ pub struct CycleReport {
 }
 
 impl CycleReport {
-    pub(crate) fn from_parts(
-        n_requested: usize,
-        n_active: usize,
-        n_servers: usize,
-        edge_total: Joules,
-        server_total: Joules,
-    ) -> Self {
-        Self::from_parts_with_faults(
-            n_requested,
-            n_active,
-            n_servers,
-            edge_total,
-            server_total,
-            FaultStats::default(),
-        )
-    }
-
-    pub(crate) fn from_parts_with_faults(
+    pub(crate) fn new(
         n_requested: usize,
         n_active: usize,
         n_servers: usize,

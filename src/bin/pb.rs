@@ -50,12 +50,15 @@ fn main() {
         usage();
         return;
     };
+    // Help wins over every command: `pb serve --help` must print usage,
+    // not bind a port and block.
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        usage();
+        return;
+    }
     // `pb --backend des --trace t.jsonl` (flags first) means `pb sweep …`.
-    let (command, rest) = if first.starts_with("--") && first != "--help" {
-        ("sweep", &argv[..])
-    } else {
-        (first.as_str(), &argv[1..])
-    };
+    let (command, rest) =
+        if first.starts_with("--") { ("sweep", &argv[..]) } else { (first.as_str(), &argv[1..]) };
     // `trace` takes a positional file path, so it parses its own args.
     if command == "trace" {
         trace_cmd(rest);
@@ -74,7 +77,7 @@ fn main() {
         "serve" => serve(&flags),
         "tune" => tune(&flags),
         "alert" => alert(&flags),
-        "help" | "--help" | "-h" => usage(),
+        "help" => usage(),
         other => {
             eprintln!("unknown command: {other}\n");
             usage();

@@ -1,0 +1,43 @@
+//! `--help` on any `pb` subcommand prints usage and exits 0 without
+//! doing the command's work (for `serve`: without binding a port and
+//! blocking).
+
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
+
+#[test]
+fn serve_help_prints_usage_and_exits_without_binding() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pb"))
+        .args(["serve", "--help"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn pb");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll pb") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("`pb serve --help` still running after 10 s: it must not start the daemon");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let out = child.wait_with_output().expect("collect pb output");
+    assert!(status.success(), "exit status {status}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.lines().any(|l| l == "commands:"), "no usage on stdout:\n{stdout}");
+    assert!(!stdout.contains("listening"), "the daemon started:\n{stdout}");
+}
+
+#[test]
+fn help_flag_works_after_any_command() {
+    for args in [&["--help"][..], &["-h"], &["sweep", "-h"], &["call", "--help"], &["trace", "-h"]]
+    {
+        let out = Command::new(env!("CARGO_BIN_EXE_pb")).args(args).output().expect("run pb");
+        assert!(out.status.success(), "{args:?}: {}", out.status);
+        assert!(String::from_utf8_lossy(&out.stdout).contains("commands:"), "{args:?}");
+    }
+}

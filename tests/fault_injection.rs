@@ -13,7 +13,9 @@
 //!   under a partial outage window the timeline's fallback count is an
 //!   exact slot-schedule computation that brackets the DES draw;
 //! * **exact golden counts** — hand-computed outage/retry/fallback
-//!   numbers on the paper's cap-10 / 180-client setting.
+//!   numbers on the paper's cap-10 / 180-client setting, plus golden
+//!   copies (`tests/golden/`) of the fault-free reports and of the
+//!   metric names a sweep registers, with and without faults.
 
 use precision_beekeeping::orchestra::allocator::FillPolicy;
 use precision_beekeeping::orchestra::faults::{Brownout, OutageWindow};
@@ -22,6 +24,7 @@ use precision_beekeeping::orchestra::montecarlo::{replicate_point, replicate_poi
 use precision_beekeeping::orchestra::prelude::*;
 use precision_beekeeping::orchestra::sweep::SweepConfig;
 use precision_beekeeping::units::{Joules, Seconds};
+use proptest::prelude::*;
 use rayon::pool::with_thread_cap;
 use std::sync::Once;
 
@@ -71,8 +74,8 @@ fn energy_bits(r: &precision_beekeeping::orchestra::CycleReport) -> [u64; 4] {
 
 #[test]
 fn none_plan_context_is_the_default_context() {
-    // `with_fault_plan(FaultPlan::NONE)` must take the exact pre-fault
-    // code path: whole-report equality, faults all zero.
+    // `with_fault_plan(FaultPlan::NONE)` must reproduce the default
+    // context: whole-report equality, faults all zero.
     let spec = paper_spec(10, LossModel::all());
     for backend in Backend::ALL {
         for n in [0usize, 1, 90, 180, 406] {
@@ -86,42 +89,121 @@ fn none_plan_context_is_the_default_context() {
     }
 }
 
-#[test]
-fn zero_probability_plan_reproduces_fault_free_energies_bit_identically() {
-    // A plan that is *structurally* non-NONE (custom retry budget) but
-    // has zero fault probabilities runs the faulted code path — and must
-    // land on the very same bits as the fault-free path, on every
-    // backend. This is the acceptance criterion that disabling faults
-    // reproduces pre-fault results exactly.
-    let zero = plan_with(|p| p.retry.max_retries = 5);
-    assert!(!zero.is_none(), "the plan must exercise the faulted path");
-    for loss in [LossModel::NONE, LossModel::client_loss_only()] {
+/// The `{:?}` of `compare()` under [`FaultPlan::NONE`], one line per
+/// (loss, backend, population). `f64`'s `Debug` round-trips, so the
+/// golden copy pins every energy bit, the n = 0 `-0.0` of the timeline
+/// included.
+fn none_report_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    for (loss_name, loss) in [("none", LossModel::NONE), ("all", LossModel::all())] {
         let spec = paper_spec(10, loss);
         for backend in Backend::ALL {
-            // n = 0 is excluded: the fault-free timeline's empty sum
-            // lands on -0.0 where the faulted accumulator yields +0.0 —
-            // numerically equal, but not the same bits.
-            for n in [1usize, 90, 180, 250] {
-                let plain = backend.compare(&spec, n, &SimContext::new(3));
-                let faulted = backend.compare(&spec, n, &SimContext::new(3).with_fault_plan(zero));
-                assert_eq!(
-                    energy_bits(&plain.cloud),
-                    energy_bits(&faulted.cloud),
-                    "{backend} n = {n} cloud"
-                );
-                assert_eq!(
-                    energy_bits(&plain.edge),
-                    energy_bits(&faulted.edge),
-                    "{backend} n = {n} edge"
-                );
-                assert_eq!(plain.cloud.n_active, faulted.cloud.n_active);
-                assert_eq!(plain.cloud.n_servers, faulted.cloud.n_servers);
-                // The accounting *does* differ: every active client is a
-                // delivered uploader under the zero-probability plan.
-                assert_eq!(faulted.cloud.faults.delivered, faulted.cloud.n_active as u64);
-                assert_eq!(faulted.cloud.faults.fallbacks, 0);
-                assert_eq!(faulted.cloud.faults.retries, 0);
+            for n in [0usize, 1, 90, 180, 406, 2000] {
+                let p = backend.compare(&spec, n, &SimContext::new(0xBEE));
+                lines.push(format!("{backend} loss={loss_name} n={n}: {p:?}"));
             }
+        }
+    }
+    lines
+}
+
+#[test]
+fn none_plan_reports_match_their_golden_debug_output() {
+    let golden: Vec<&str> = include_str!("golden/none_reports.txt").lines().collect();
+    let actual = none_report_lines();
+    assert_eq!(actual.len(), golden.len(), "golden line count");
+    for (a, g) in actual.iter().zip(&golden) {
+        assert_eq!(a, g);
+    }
+}
+
+/// The sorted metric names (as `kind name`) a `metrics_only` sweep
+/// registers on `backend` under `plan`.
+fn sweep_metric_names(backend: Backend, plan: FaultPlan) -> Vec<String> {
+    let tel = Telemetry::metrics_only();
+    let cfg = sweep_config(10, LossModel::all());
+    let ctx = SimContext::with_telemetry(cfg.seed, tel.clone()).with_fault_plan(plan);
+    let _ = cfg.run_with_context(&backend, &[0, 90, 180, 406], &ctx);
+    let snap = tel.snapshot();
+    let mut names: Vec<String> = snap
+        .counters
+        .iter()
+        .map(|(n, _)| format!("counter {n}"))
+        .chain(snap.gauges.iter().map(|(n, _)| format!("gauge {n}")))
+        .chain(snap.histograms.iter().map(|(n, _)| format!("histogram {n}")))
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn sweep_metric_name_sets_match_their_golden_copy() {
+    // Fault-free sweeps register no `fault.*` or `columns.*` metric;
+    // faulted ones do. Names are a set, so the pin is thread-count-free.
+    let mut actual = Vec::new();
+    for backend in Backend::ALL {
+        for (plan_name, plan) in [("none", FaultPlan::NONE), ("mid", FaultPlan::mid_severity())] {
+            actual.push(format!("[{backend} {plan_name}]"));
+            actual.extend(sweep_metric_names(backend, plan));
+        }
+    }
+    let golden: Vec<&str> = include_str!("golden/metric_names.txt").lines().collect();
+    assert_eq!(actual, golden);
+}
+
+prop_compose! {
+    /// A plan that is *structurally* non-NONE (a random retry policy)
+    /// but can strike no client: zero probabilities, no outage window,
+    /// no slow-down.
+    fn zero_strike_plan()(
+        max_retries in 0u32..8,
+        base_backoff in 1.0f64..60.0,
+        backoff_factor in 1.0f64..4.0,
+        jitter in 0.0f64..0.5,
+    ) -> FaultPlan {
+        FaultPlan {
+            retry: RetryPolicy {
+                max_retries,
+                base_backoff: Seconds(base_backoff),
+                backoff_factor,
+                jitter,
+                ..RetryPolicy::DEFAULT
+            },
+            ..FaultPlan::NONE
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(proptest::test_runner::Config::with_cases(48))]
+
+    /// Disabling faults reproduces pre-fault results exactly: a plan that
+    /// strikes no client lands on the very same energy bits as the
+    /// fault-free run, on every backend and at every population, n = 0
+    /// included. Only the accounting differs: every active client is a
+    /// delivered uploader.
+    #[test]
+    fn zero_probability_plan_reproduces_fault_free_energies_bit_identically(
+        plan in zero_strike_plan(),
+        backend in 0usize..3,
+        n in 0usize..=2000,
+        lossy in proptest::bool::ANY,
+        seed in 0u64..1000,
+    ) {
+        prop_assert!(!plan.strikes_clients());
+        let backend = Backend::ALL[backend];
+        let loss = if lossy { LossModel::client_loss_only() } else { LossModel::NONE };
+        let spec = paper_spec(10, loss);
+        let plain = backend.compare(&spec, n, &SimContext::new(seed));
+        let faulted = backend.compare(&spec, n, &SimContext::new(seed).with_fault_plan(plan));
+        prop_assert_eq!(energy_bits(&plain.cloud), energy_bits(&faulted.cloud), "{} n = {} cloud", backend, n);
+        prop_assert_eq!(energy_bits(&plain.edge), energy_bits(&faulted.edge), "{} n = {} edge", backend, n);
+        prop_assert_eq!(plain.cloud.n_active, faulted.cloud.n_active);
+        prop_assert_eq!(plain.cloud.n_servers, faulted.cloud.n_servers);
+        if !plan.is_none() {
+            prop_assert_eq!(faulted.cloud.faults.delivered, faulted.cloud.n_active as u64);
+            prop_assert_eq!(faulted.cloud.faults.fallbacks, 0);
+            prop_assert_eq!(faulted.cloud.faults.retries, 0);
         }
     }
 }
@@ -398,7 +480,6 @@ fn montecarlo_confidence_interval_under_a_mid_severity_plan() {
 
 mod props {
     use super::*;
-    use proptest::prelude::*;
 
     prop_compose! {
         /// An arbitrary fault plan over the whole supported space.
