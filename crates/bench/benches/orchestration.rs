@@ -152,12 +152,12 @@ fn bench_fleet(c: &mut Criterion) {
 /// bounds the worst per-backend cost of leaving `--metrics` on.
 ///
 /// A third row measures event recording without span tags (ring sink,
-/// no tracing flag) — the price of keeping `--trace` on, which also
-/// forces the DES off the shape-memoized replay and onto the exact
-/// event loop. A fourth adds causal span tags on every DES event +
-/// per-client `trace.*` spans — the full `pb sweep --causal --trace`
-/// cost. Both are recorded for visibility but unbounded: materializing
-/// events is allowed to cost real time.
+/// no tracing flag) — the price of keeping `--trace` on, where the DES
+/// replay also rebuilds one record per simulated event. A fourth adds
+/// causal span tags on every DES event + per-client `trace.*` spans —
+/// the full `pb sweep --causal --trace` cost. Both are recorded for
+/// visibility but unbounded: materializing events is allowed to cost
+/// real time.
 fn bench_telemetry_overhead(c: &mut Criterion) {
     use std::time::{Duration, Instant};
     let sweep = cnn_sweep(35, LossModel::NONE);

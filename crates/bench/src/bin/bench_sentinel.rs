@@ -58,15 +58,15 @@ const SCALE_CLIENTS_PER_SEC: &[(&str, u64, f64)] = &[
     ("closed-form", 100_000, 74_460_163_812.4),
     ("timeline", 10_000, 424_538_314.6),
     ("timeline", 100_000, 2_937_806_633.6),
-    // The DES floors assume the shape-memoized replay fast path; losing
-    // it (a ~10× drop back to the per-event loop) fails these rows.
+    // The DES floors assume the shape-memoized replay; a per-event
+    // queueing model (~10× slower) fails these rows.
     ("des", 10_000, 36_463_214.1),
     ("des", 100_000, 31_511_655.1),
     ("des_faulted_mid", 10_000, 14_564_626.9),
     ("des_faulted_mid", 100_000, 13_354_888.1),
-    // The recorded floors assume the flight recorder keeps the faulted
-    // DES on the replay too; a recorder that forced the exact loop again
-    // (~1.4 M clients/s) fails these rows.
+    // The recorded floors assume the flight recorder receives no
+    // per-event DES trajectories; building them for it (the exact loop
+    // it used to force ran at ~1.4 M clients/s) fails these rows.
     ("des_recorded_mid", 10_000, 8_961_448.7),
     ("des_recorded_mid", 100_000, 8_355_393.7),
 ];

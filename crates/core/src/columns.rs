@@ -270,15 +270,14 @@ impl FleetColumns {
 /// arrival time, local client index and attempt count as flat columns,
 /// filled in client order by the DES cycle's pre-pass.
 ///
-/// The DES fast path partitions these rows into **clean** deliveries
+/// The DES replay partitions these rows into **clean** deliveries
 /// (first attempt succeeded, so the effective time *is* the client's
 /// sorted wake-up instant — the rows are already time-ordered) and
 /// **divergent** ones (retries pushed the client to a later, unordered
 /// instant). Merging the sorted clean run with the sorted divergent
 /// tail reproduces the DES event queue's exact `(time, push index)` pop
 /// order in O(m + d log d) for `d` divergent clients, instead of
-/// re-sorting all m rows — and instead of running the event loop at
-/// all.
+/// re-sorting all m rows.
 #[derive(Clone, Debug, Default)]
 pub struct TransferColumns {
     t_eff: Vec<f64>,
@@ -320,9 +319,10 @@ impl TransferColumns {
     }
 
     /// The rows as `(time, client)` pairs in *push* order (client
-    /// order) — what the exact event loop consumes, so its sequence
-    /// numbers match the historical per-client push loop.
-    pub fn push_order_entries(&self) -> Vec<(f64, usize)> {
+    /// order) — what the DES oracle's event loop consumes, so its
+    /// sequence numbers match the historical per-client push loop.
+    #[cfg(test)]
+    pub(crate) fn push_order_entries(&self) -> Vec<(f64, usize)> {
         self.t_eff.iter().zip(&self.client).map(|(&t, &c)| (t, c as usize)).collect()
     }
 
@@ -366,13 +366,6 @@ impl TransferColumns {
             clients.push(client);
         }
         (times, clients)
-    }
-
-    /// [`TransferColumns::pop_order_columns`] zipped into `(time,
-    /// client)` pairs.
-    pub fn pop_order_entries(&self) -> Vec<(f64, usize)> {
-        let (times, clients) = self.pop_order_columns();
-        times.into_iter().zip(clients).map(|(t, c)| (t, c as usize)).collect()
     }
 }
 
@@ -549,6 +542,12 @@ mod tests {
         assert_eq!(a.gen::<u64>(), b.gen::<u64>());
     }
 
+    /// [`TransferColumns::pop_order_columns`] as `(time, client)` pairs.
+    fn pop_order_pairs(cols: &TransferColumns) -> Vec<(f64, usize)> {
+        let (times, clients) = cols.pop_order_columns();
+        times.into_iter().zip(clients).map(|(t, c)| (t, c as usize)).collect()
+    }
+
     #[test]
     fn pop_order_merge_matches_a_stable_sort() {
         // Clean rows keep a sorted time column; divergent rows scatter.
@@ -567,7 +566,7 @@ mod tests {
         }
         assert_eq!(cols.push_order_entries(), reference);
         reference.sort_by(|a, b| a.0.total_cmp(&b.0));
-        assert_eq!(cols.pop_order_entries(), reference);
+        assert_eq!(pop_order_pairs(&cols), reference);
         assert!(cols.divergent_count() > 10);
         assert_eq!(cols.len(), 200);
         assert!(!cols.is_empty());
@@ -579,9 +578,9 @@ mod tests {
         for (i, t) in [1.0, 2.5, 7.0].into_iter().enumerate() {
             cols.push(t, i, 1);
         }
-        assert_eq!(cols.pop_order_entries(), cols.push_order_entries());
+        assert_eq!(pop_order_pairs(&cols), cols.push_order_entries());
         assert_eq!(cols.divergent_count(), 0);
-        assert!(TransferColumns::default().pop_order_entries().is_empty());
+        assert_eq!(TransferColumns::default().pop_order_columns(), (vec![], vec![]));
     }
 
     #[test]

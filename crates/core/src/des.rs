@@ -16,12 +16,10 @@ use crate::faults::{
 };
 use crate::server::ServerModel;
 use pb_telemetry::trace::{trace_id, SpanCtx, HOP_ARRIVAL, HOP_PROCESS, HOP_TRANSFER};
-use pb_telemetry::Telemetry;
+use pb_telemetry::{Fields, Telemetry};
 use pb_units::{Joules, Seconds, Watts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
 
 /// Outcome of one asynchronous cycle.
 #[derive(Clone, Debug)]
@@ -43,39 +41,6 @@ pub struct AsyncCycleReport {
     pub max_latency: Seconds,
     /// Largest number of clients simultaneously waiting for the uplink.
     pub peak_queue: usize,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Event {
-    /// A client wakes and wants the uplink.
-    Arrival { client: usize },
-    /// A client's upload finishes; it joins the processing queue.
-    TransferDone { client: usize },
-    /// The processor finishes a client's job.
-    ProcessDone { client: usize },
-}
-
-/// Event-queue key: simulation time, then a push sequence number, so
-/// simultaneous events pop in scheduling order. `seq` is unique, so the
-/// order is total and the [`Event`] payload never breaks a tie.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct EventKey {
-    time: f64,
-    seq: u64,
-}
-
-impl Eq for EventKey {}
-
-impl PartialOrd for EventKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for EventKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.time.total_cmp(&other.time).then(self.seq.cmp(&other.seq))
-    }
 }
 
 /// Simulates one unsynchronized cycle: `n_clients` wake uniformly at
@@ -202,11 +167,12 @@ pub struct DesRun<'a> {
     /// Telemetry sink: event counts by type (`des.events.*`), the peak
     /// uplink queue depth (`des.queue_depth.peak` gauge), the event-queue
     /// occupancy and horizon histograms (`des.queue.occupancy`,
-    /// `des.cycle.horizon_s`), the path taken (`des.fastpath.replayed`
-    /// or one `des.fastpath.refused.*` counter, in clients), a
+    /// `des.cycle.horizon_s`), the replayed clients
+    /// (`des.fastpath.replayed`, every participating client), a
     /// `des.cycle_done` summary when the sink keeps events, and one
     /// sim-time-stamped trace record per simulation event only when it
     /// also keeps trajectories ([`Telemetry::trajectories_recording`]).
+    /// None of it changes the queueing model the cycle runs.
     pub telemetry: &'a Telemetry,
     /// Causal tags, active only under [`Telemetry::with_tracing`]: each
     /// client gets a root `trace.sample` span at its arrival instant,
@@ -247,16 +213,21 @@ pub struct DesFaults<'a> {
 /// from their own stream, so the arrival stream is the same with and
 /// without faults, bit for bit.
 ///
-/// The queueing model runs as the shape-memoized replay unless the run
-/// is tagged, a sink keeps trajectories or the server has no uplink
-/// lanes, which send it through the exact event loop; both give the
-/// same bits.
+/// The queueing model is the shape-memoized replay ([`replay_core`]),
+/// which also emits the per-event trajectory records when a sink keeps
+/// them or the run is tagged.
+///
+/// # Panics
+///
+/// When `server.max_parallel` is 0, as [`ServerModel::new`] does: an
+/// uplink with no lanes never serves anyone.
 pub fn simulate_async_cycle_with<R: Rng + ?Sized>(
     n_clients: usize,
     server: &ServerModel,
     rng: &mut R,
     run: &DesRun<'_>,
 ) -> DesRunReport {
+    assert!(server.max_parallel > 0, "need at least one client per slot");
     let cycle = server.cycle.value();
     let mut arrivals: Vec<f64> = (0..n_clients).map(|_| rng.gen_range(0.0..cycle)).collect();
     sort_arrival_times(&mut arrivals);
@@ -268,7 +239,7 @@ pub fn simulate_async_cycle_with<R: Rng + ?Sized>(
     let mut fallbacks = 0u64;
     // Per local client: the span its network hops chain under, plus the
     // delivered set's attempt counts for the terminal spans emitted
-    // after the loop.
+    // after the replay.
     let mut links: Vec<Option<SpanCtx>> = Vec::new();
     let mut delivered_tags: Vec<(usize, u64, u64)> = Vec::new();
     // Resolved transfers as flat columns (effective time, client, attempt
@@ -332,25 +303,14 @@ pub fn simulate_async_cycle_with<R: Rng + ?Sized>(
     let delivered = resolved.as_ref().map_or(n_clients, TransferColumns::len) as u64;
     // The replay needs entries in event-queue *pop* order — (time, push
     // index) — which the clean/divergent merge produces in O(m + d log d)
-    // for d divergent clients; the exact loop needs the original push
-    // order so its event sequence numbers stay bit-identical.
-    let refusal = fast_path_refusal(telemetry, tag.is_some(), server);
-    let tagged_links = tag.map(|_| links.as_slice());
-    let out = match (&resolved, refusal) {
-        (None, None) => replay_core(n_clients, &arrivals, None, server, run.memo),
-        (Some(cols), None) => {
-            let (times, clients) = cols.pop_order_columns();
-            replay_core(n_clients, &times, Some(&clients), server, run.memo)
-        }
-        (None, Some(_)) => {
-            let entries: Vec<(f64, usize)> =
-                arrivals.iter().enumerate().map(|(client, &t)| (t, client)).collect();
-            exact_event_loop(n_clients, &entries, server, telemetry, tagged_links)
-        }
-        (Some(cols), Some(_)) => {
-            exact_event_loop(n_clients, &cols.push_order_entries(), server, telemetry, tagged_links)
-        }
+    // for d divergent clients.
+    let pop_order = resolved.as_ref().map(TransferColumns::pop_order_columns);
+    let (times, clients) = match &pop_order {
+        None => (arrivals.as_slice(), None),
+        Some((times, clients)) => (times.as_slice(), Some(clients.as_slice())),
     };
+    let tagged_links = tag.map(|_| links.as_slice());
+    let out = replay_core(n_clients, times, clients, server, run.memo, telemetry, tagged_links);
     if let Some(dt) = tag {
         for &(client, tid, a) in &delivered_tags {
             let global = (dt.base + client) as u64;
@@ -374,7 +334,7 @@ pub fn simulate_async_cycle_with<R: Rng + ?Sized>(
     }
     let mean_latency = if delivered > 0 { lat_sum / delivered as f64 } else { 0.0 };
 
-    flush_telemetry(telemetry, n_clients, &out, refusal, horizon, server_energy);
+    flush_telemetry(telemetry, n_clients, &out, horizon, server_energy);
 
     DesRunReport {
         report: AsyncCycleReport {
@@ -435,50 +395,6 @@ fn energy_over(server: &ServerModel, horizon: f64, receive_busy: f64, process_bu
     server.idle_power * Seconds(horizon)
         + receive_delta * Seconds(receive_busy)
         + process_delta * Seconds(process_busy)
-}
-
-/// Why a cycle took the exact event loop instead of the shape-memoized
-/// replay. Each refused cycle counts its participating clients under
-/// one `des.fastpath.refused.*` counter, the mirror of
-/// `des.fastpath.replayed`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Refusal {
-    /// `max_parallel == 0` starves the uplink forever — a degenerate
-    /// shape the recurrence does not model.
-    NoSlots,
-    /// Causal tags: span chains must follow the real pop sequence.
-    Tagged,
-    /// A trace-export sink wants every per-event trajectory record,
-    /// which the replay does not build.
-    Recording,
-}
-
-impl Refusal {
-    fn counter(self) -> &'static str {
-        match self {
-            Refusal::NoSlots => "des.fastpath.refused.no_slots",
-            Refusal::Tagged => "des.fastpath.refused.tagged",
-            Refusal::Recording => "des.fastpath.refused.recording",
-        }
-    }
-}
-
-/// `None` when a cycle may take the shape-memoized replay, else the
-/// reason it may not. When several hold, the one that would remain
-/// after switching off the others is reported: no slots, then tags,
-/// then recording. Sinks that keep events but no trajectories (the
-/// flight recorder) do not refuse: everything they receive comes from
-/// the fault pre-pass and the cycle summary, which run on both paths.
-fn fast_path_refusal(telemetry: &Telemetry, tagged: bool, server: &ServerModel) -> Option<Refusal> {
-    if server.max_parallel == 0 {
-        Some(Refusal::NoSlots)
-    } else if tagged {
-        Some(Refusal::Tagged)
-    } else if telemetry.trajectories_recording() {
-        Some(Refusal::Recording)
-    } else {
-        None
-    }
 }
 
 /// Per-worker scratch for [`replay_core`]: the intermediate per-entry
@@ -570,14 +486,16 @@ fn sort_arrival_times(times: &mut [f64]) {
     debug_assert!(times.windows(2).all(|w| w[0] <= w[1]));
 }
 
-/// Bit-exact O(m) replay of [`exact_event_loop`].
+/// The asynchronous server's queueing model: an O(m) replay of the
+/// event-by-event simulation (a min-heap of arrival, transfer-done and
+/// process-done events, kept as the bit-identity oracle of this
+/// module's tests).
 ///
 /// `times` holds the participating clients' effective arrival instants
 /// in event-queue *pop* order (time ascending, ties in push order);
 /// `clients` maps pop position to client id, or `None` when position
 /// `i` *is* client `i` (the sorted fault-free case). In pop order the
-/// event loop's behaviour is a pure recurrence — no event queue
-/// needed:
+/// event simulation is a pure recurrence — no event queue needed:
 ///
 /// * **Uplink**: client `i` (capacity `C`) starts its upload at
 ///   `max(aᵢ, fᵢ₋C)` where `f` is the upload-finish sequence; it queued
@@ -596,18 +514,18 @@ fn sort_arrival_times(times: &mut [f64]) {
 ///   suffix of queued clients whose start is `≥ aᵢ` — a two-pointer
 ///   scan, since starts and arrivals are both monotone.
 ///
-/// Simultaneous events of different kinds (an arrival at exactly a
-/// transfer-finish instant, etc.) are resolved Arrival < TransferDone <
-/// ProcessDone, matching the loop's sequence-number order for every
-/// reachable tie; with continuously distributed arrival times,
-/// cross-kind ties have probability zero and the equivalence suite
-/// pins the observable results.
+/// When a sink keeps trajectories or the run is tagged (`links`), the
+/// finished columns then feed [`emit_trajectories`], which rebuilds the
+/// simulation's per-event records in its exact pop order; the
+/// per-client loop itself never branches on telemetry.
 fn replay_core(
     n_clients: usize,
     times: &[f64],
     clients: Option<&[u32]>,
     server: &ServerModel,
     memo: Option<&ShapeMemo>,
+    telemetry: &Telemetry,
+    links: Option<&[Option<SpanCtx>]>,
 ) -> LoopOutcome {
     let m = times.len();
     let transfer = server.receive_duration.value();
@@ -673,6 +591,9 @@ fn replay_core(
             None => repeated_sum(process, m),
         };
         let last_time = if m > 0 { proc_end[m - 1] } else { 0.0 };
+        if telemetry.trajectories_recording() || links.is_some() {
+            emit_trajectories(times, clients, finish, proc_end, cap, telemetry, links);
+        }
 
         let completion = match clients {
             None => {
@@ -704,182 +625,134 @@ fn replay_core(
     })
 }
 
-/// The exact event-by-event loop (the historical hot path; now the
-/// trajectory-recording/traced path and the fast path's reference).
+/// Rebuilds the event simulation's per-event `des.*` records from a
+/// finished replay, in the simulation's exact pop order.
 ///
-/// Events pop from a min-heap in [`EventKey`] order: time ascending,
-/// ties in push order. Per-event `des.*` records are built only for a
-/// sink that keeps trajectories or a tagged run; any other sink, the
-/// flight recorder included, gets none from here.
-fn exact_event_loop(
-    n_clients: usize,
-    entries: &[(f64, usize)],
-    server: &ServerModel,
+/// Each event stream is already in pop order when indexed by pop
+/// position: arrivals at `times`, transfer-dones at `finish`,
+/// process-dones at `proc_end`. A heap-free 3-way merge interleaves them
+/// by the event queue's key, (time, push sequence number):
+///
+/// * arrivals hold the numbers `0..m` (every arrival is pushed before
+///   the first pop), so at a tie they precede every other event;
+/// * a transfer-done or process-done takes the next number when the
+///   event that schedules it pops. An unqueued arrival schedules its own
+///   transfer-done. A transfer-done hands its lane to the client `cap`
+///   positions later if that one queued, then schedules its own
+///   process-done if the CPU is free. A process-done schedules the next
+///   client's if that one waited for the CPU.
+///
+/// Kind order alone cannot settle a tie between a transfer-done and a
+/// process-done: with `process > transfer`, a process-done scheduled
+/// earlier pops before a transfer-done of the same instant.
+fn emit_trajectories(
+    times: &[f64],
+    clients: Option<&[u32]>,
+    finish: &[f64],
+    proc_end: &[f64],
+    cap: usize,
     telemetry: &Telemetry,
     links: Option<&[Option<SpanCtx>]>,
-) -> LoopOutcome {
-    // The span each client's network hops chain under (None = untagged).
-    let link = |client: usize| links.and_then(|l| l[client]);
-    let transfer = server.receive_duration.value();
-    let process = server.process_duration.value();
-
-    // `Reverse` turns the std max-heap into a min-heap.
-    let mut events: BinaryHeap<Reverse<(EventKey, Event)>> =
-        BinaryHeap::with_capacity(entries.len());
-    let mut seq = 0u64;
-    let mut push = |events: &mut BinaryHeap<_>, time: f64, ev: Event| {
-        events.push(Reverse((EventKey { time, seq }, ev)));
-        seq += 1;
+) {
+    let m = times.len();
+    let client_at = |i: usize| clients.map_or(i, |c| c[i] as usize);
+    // The replay's uplink-queue and CPU-idle tests, per pop position.
+    let queued = |i: usize| i >= cap && finish[i - cap] >= times[i];
+    let cpu_free = |i: usize| !(i > 0 && proc_end[i - 1] > finish[i]);
+    // Sequence numbers of the scheduled transfer-dones and process-dones
+    // by pop position. `u64::MAX` marks one not scheduled yet, which
+    // sorts after every scheduled event of the same instant.
+    let mut seq_transfer = vec![u64::MAX; m];
+    let mut seq_process = vec![u64::MAX; m];
+    let mut next_seq = m as u64;
+    let mut schedule = |slot: &mut u64| {
+        *slot = next_seq;
+        next_seq += 1;
     };
-
-    for &(t, client) in entries {
-        push(&mut events, t, Event::Arrival { client });
-    }
-
-    let mut uplink_in_use = 0usize;
-    let mut uplink_wait: VecDeque<usize> = VecDeque::new();
-    let mut cpu_busy_until: Option<f64> = None;
-    let mut cpu_wait: VecDeque<usize> = VecDeque::new();
-
-    let mut receive_busy = 0.0f64;
-    let mut receive_since = 0.0f64;
-    let mut process_busy = 0.0f64;
-    let mut completion = vec![0.0f64; n_clients];
-    let mut peak_queue = 0usize;
-    let mut last_time = 0.0f64;
-
-    // Event counts stay in locals during the loop; they flush into the
-    // registry once at the end so the hot path pays no atomic traffic.
-    let trace_events = telemetry.trajectories_recording() || links.is_some();
-    let mut n_arrivals = 0u64;
-    let mut n_transfers = 0u64;
-    let mut n_processed = 0u64;
-
-    while let Some(Reverse((key, ev))) = events.pop() {
-        let now = key.time;
-        debug_assert!(now >= last_time, "event popped out of order: {now} after {last_time}");
-        last_time = now;
-        match ev {
-            Event::Arrival { client } => {
-                n_arrivals += 1;
-                if trace_events {
-                    let fields = vec![
-                        ("client", client.into()),
-                        ("queued", (uplink_in_use >= server.max_parallel).into()),
-                    ];
-                    match link(client) {
-                        Some(ctx) => {
-                            telemetry.trace_event(
-                                now,
-                                "des.arrival",
-                                ctx.child(HOP_ARRIVAL),
-                                fields,
-                            );
-                        }
-                        None => telemetry.event(now, "des.arrival", fields),
-                    }
-                }
-                if uplink_in_use < server.max_parallel {
-                    if uplink_in_use == 0 {
-                        receive_since = now;
-                    }
-                    uplink_in_use += 1;
-                    push(&mut events, now + transfer, Event::TransferDone { client });
-                } else {
-                    uplink_wait.push_back(client);
-                    peak_queue = peak_queue.max(uplink_wait.len());
-                }
-            }
-            Event::TransferDone { client } => {
-                n_transfers += 1;
-                if trace_events {
-                    let fields =
-                        vec![("client", client.into()), ("queue", uplink_wait.len().into())];
-                    match link(client) {
-                        Some(ctx) => {
-                            let span = ctx.child(HOP_ARRIVAL).child(HOP_TRANSFER);
-                            telemetry.trace_event(now, "des.transfer_done", span, fields);
-                        }
-                        None => telemetry.event(now, "des.transfer_done", fields),
-                    }
-                }
-                // Hand the uplink to the next waiter (if any).
-                if let Some(next) = uplink_wait.pop_front() {
-                    push(&mut events, now + transfer, Event::TransferDone { client: next });
-                } else {
-                    uplink_in_use -= 1;
-                    if uplink_in_use == 0 {
-                        receive_busy += now - receive_since;
-                    }
-                }
-                // Queue for processing. The CPU is free only when no
-                // one is waiting AND the current run has ended. The
-                // wait-queue check matters at exact float ties: when a
-                // transfer finishes at precisely `cpu_busy_until` (the
-                // constant transfer/process durations put both event
-                // streams on a shared lattice under saturation), the
-                // pending process-done for that instant has not popped
-                // yet — starting this client here would jump it past
-                // the FIFO waiters and double-book the CPU.
-                match cpu_busy_until {
-                    Some(t) if t > now || !cpu_wait.is_empty() => cpu_wait.push_back(client),
-                    _ => {
-                        cpu_busy_until = Some(now + process);
-                        process_busy += process;
-                        push(&mut events, now + process, Event::ProcessDone { client });
-                    }
-                }
-            }
-            Event::ProcessDone { client } => {
-                n_processed += 1;
-                if trace_events {
-                    let fields = vec![("client", client.into())];
-                    match link(client) {
-                        Some(ctx) => {
-                            let span =
-                                ctx.child(HOP_ARRIVAL).child(HOP_TRANSFER).child(HOP_PROCESS);
-                            telemetry.trace_event(now, "des.process_done", span, fields);
-                        }
-                        None => telemetry.event(now, "des.process_done", fields),
-                    }
-                }
-                completion[client] = now;
-                if let Some(next) = cpu_wait.pop_front() {
-                    cpu_busy_until = Some(now + process);
-                    process_busy += process;
-                    push(&mut events, now + process, Event::ProcessDone { client: next });
-                }
-            }
+    let head = |col: &[f64], seq: &[u64], i: usize| {
+        if i < m {
+            (col[i], seq[i])
+        } else {
+            (f64::INFINITY, u64::MAX)
         }
-    }
-    if uplink_in_use > 0 {
-        receive_busy += last_time - receive_since;
-    }
-
-    LoopOutcome {
-        receive_busy,
-        process_busy,
-        completion,
-        peak_queue,
-        last_time,
-        n_arrivals,
-        n_transfers,
-        n_processed,
+    };
+    // Clients waiting for an uplink lane.
+    let mut waiting = 0usize;
+    let (mut a, mut t, mut p) = (0usize, 0usize, 0usize);
+    while a < m || t < m || p < m {
+        let (tt, st) = head(finish, &seq_transfer, t);
+        let (tp, sp) = head(proc_end, &seq_process, p);
+        if a < m && times[a] <= tt && times[a] <= tp {
+            let client = client_at(a);
+            let q = queued(a);
+            let fields = [("client", client.into()), ("queued", q.into())];
+            emit_hop(telemetry, links, times[a], "des.arrival", client, &[HOP_ARRIVAL], fields);
+            if q {
+                waiting += 1;
+            } else {
+                schedule(&mut seq_transfer[a]);
+            }
+            a += 1;
+        } else if tt.total_cmp(&tp).then(st.cmp(&sp)).is_lt() {
+            debug_assert_ne!(st, u64::MAX, "transfer-done popped before it was scheduled");
+            let client = client_at(t);
+            let fields = [("client", client.into()), ("queue", waiting.into())];
+            let hops = [HOP_ARRIVAL, HOP_TRANSFER];
+            emit_hop(telemetry, links, tt, "des.transfer_done", client, &hops, fields);
+            if t + cap < m && queued(t + cap) {
+                debug_assert!(waiting > 0, "lane handed to a client that has not arrived");
+                waiting -= 1;
+                schedule(&mut seq_transfer[t + cap]);
+            }
+            if cpu_free(t) {
+                schedule(&mut seq_process[t]);
+            }
+            t += 1;
+        } else {
+            debug_assert_ne!(sp, u64::MAX, "process-done popped before it was scheduled");
+            let client = client_at(p);
+            let hops = [HOP_ARRIVAL, HOP_TRANSFER, HOP_PROCESS];
+            let fields = [("client", client.into())];
+            emit_hop(telemetry, links, tp, "des.process_done", client, &hops, fields);
+            if p + 1 < m && !cpu_free(p + 1) {
+                schedule(&mut seq_process[p + 1]);
+            }
+            p += 1;
+        }
     }
 }
 
-/// Mirrors one cycle's event counts, the path it took (replayed, or
-/// refused and why), queue peaks, horizon and — when the sink keeps
-/// events — the `des.cycle_done` summary into telemetry.
+/// One `des.*` trajectory record at `now`, carrying the causal span
+/// `link.child(hops[0]).child(hops[1])…` when the client has a link.
+fn emit_hop(
+    telemetry: &Telemetry,
+    links: Option<&[Option<SpanCtx>]>,
+    now: f64,
+    kind: &'static str,
+    client: usize,
+    hops: &[u32],
+    fields: impl Into<Fields>,
+) {
+    match links.and_then(|l| l[client]) {
+        Some(link) => {
+            let span = hops.iter().fold(link, |span, &hop| span.child(hop));
+            telemetry.trace_event(now, kind, span, fields);
+        }
+        None => telemetry.event(now, kind, fields),
+    }
+}
+
+/// Mirrors one cycle's event counts, its replayed clients, queue peaks,
+/// horizon and — when the sink keeps events — the `des.cycle_done`
+/// summary into telemetry.
 ///
-/// The event queue's occupancy peak is the arrival count on both paths:
-/// every arrival is pushed before the first pop, and a client never has
-/// more than one pending event, so the queue never grows past them.
+/// The event queue's occupancy peak is the arrival count: every arrival
+/// is pushed before the first pop, and a client never has more than one
+/// pending event, so the queue never grows past them.
 fn flush_telemetry(
     telemetry: &Telemetry,
     n_clients: usize,
     out: &LoopOutcome,
-    refusal: Option<Refusal>,
     horizon: f64,
     server_energy: Joules,
 ) {
@@ -889,10 +762,9 @@ fn flush_telemetry(
     telemetry.add_to_counter("des.events.arrival", out.n_arrivals);
     telemetry.add_to_counter("des.events.transfer_done", out.n_transfers);
     telemetry.add_to_counter("des.events.process_done", out.n_processed);
-    // Both paths see every participating client arrive exactly once.
+    // Every participating client arrives exactly once.
     if out.n_arrivals > 0 {
-        let path = refusal.map_or("des.fastpath.replayed", Refusal::counter);
-        telemetry.add_to_counter(path, out.n_arrivals);
+        telemetry.add_to_counter("des.fastpath.replayed", out.n_arrivals);
     }
     if let Some(r) = telemetry.registry() {
         r.gauge("des.queue_depth.peak").set_max(out.peak_queue as f64);
@@ -914,18 +786,236 @@ fn flush_telemetry(
     }
 }
 
+/// The event-by-event simulation the replay was derived from, kept as
+/// its bit-identity oracle.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use std::cmp::{Ordering, Reverse};
+    use std::collections::{BinaryHeap, VecDeque};
+
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    enum Event {
+        /// A client wakes and wants the uplink.
+        Arrival { client: usize },
+        /// A client's upload finishes; it joins the processing queue.
+        TransferDone { client: usize },
+        /// The processor finishes a client's job.
+        ProcessDone { client: usize },
+    }
+
+    /// Event-queue key: simulation time, then a push sequence number, so
+    /// simultaneous events pop in scheduling order. `seq` is unique, so
+    /// the order is total and the [`Event`] payload never breaks a tie.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct EventKey {
+        time: f64,
+        seq: u64,
+    }
+
+    impl Eq for EventKey {}
+
+    impl PartialOrd for EventKey {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for EventKey {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.time.total_cmp(&other.time).then(self.seq.cmp(&other.seq))
+        }
+    }
+
+    /// The exact event-by-event loop: the historical production path,
+    /// and the reference [`replay_core`] and [`emit_trajectories`] must
+    /// match bit for bit.
+    ///
+    /// Events pop from a min-heap in [`EventKey`] order: time ascending,
+    /// ties in push order. `entries` are the arrivals in *push* order.
+    /// Per-event `des.*` records are built only for a sink that keeps
+    /// trajectories or a tagged run.
+    pub(super) fn exact_event_loop(
+        n_clients: usize,
+        entries: &[(f64, usize)],
+        server: &ServerModel,
+        telemetry: &Telemetry,
+        links: Option<&[Option<SpanCtx>]>,
+    ) -> LoopOutcome {
+        // The span each client's network hops chain under (None = untagged).
+        let link = |client: usize| links.and_then(|l| l[client]);
+        let transfer = server.receive_duration.value();
+        let process = server.process_duration.value();
+
+        // `Reverse` turns the std max-heap into a min-heap.
+        let mut events: BinaryHeap<Reverse<(EventKey, Event)>> =
+            BinaryHeap::with_capacity(entries.len());
+        let mut seq = 0u64;
+        let mut push = |events: &mut BinaryHeap<_>, time: f64, ev: Event| {
+            events.push(Reverse((EventKey { time, seq }, ev)));
+            seq += 1;
+        };
+
+        for &(t, client) in entries {
+            push(&mut events, t, Event::Arrival { client });
+        }
+
+        let mut uplink_in_use = 0usize;
+        let mut uplink_wait: VecDeque<usize> = VecDeque::new();
+        // The job on the CPU and the instant it ends.
+        let mut cpu: Option<(usize, f64)> = None;
+        let mut cpu_wait: VecDeque<usize> = VecDeque::new();
+
+        let mut receive_busy = 0.0f64;
+        let mut receive_since = 0.0f64;
+        let mut process_busy = 0.0f64;
+        let mut completion = vec![0.0f64; n_clients];
+        let mut peak_queue = 0usize;
+        let mut last_time = 0.0f64;
+
+        // Event counts stay in locals during the loop; they flush into the
+        // registry once at the end so the hot path pays no atomic traffic.
+        let trace_events = telemetry.trajectories_recording() || links.is_some();
+        let mut n_arrivals = 0u64;
+        let mut n_transfers = 0u64;
+        let mut n_processed = 0u64;
+
+        while let Some(Reverse((key, ev))) = events.pop() {
+            let now = key.time;
+            debug_assert!(now >= last_time, "event popped out of order: {now} after {last_time}");
+            last_time = now;
+            match ev {
+                Event::Arrival { client } => {
+                    n_arrivals += 1;
+                    if trace_events {
+                        let fields = vec![
+                            ("client", client.into()),
+                            ("queued", (uplink_in_use >= server.max_parallel).into()),
+                        ];
+                        match link(client) {
+                            Some(ctx) => {
+                                telemetry.trace_event(
+                                    now,
+                                    "des.arrival",
+                                    ctx.child(HOP_ARRIVAL),
+                                    fields,
+                                );
+                            }
+                            None => telemetry.event(now, "des.arrival", fields),
+                        }
+                    }
+                    if uplink_in_use < server.max_parallel {
+                        if uplink_in_use == 0 {
+                            receive_since = now;
+                        }
+                        uplink_in_use += 1;
+                        push(&mut events, now + transfer, Event::TransferDone { client });
+                    } else {
+                        uplink_wait.push_back(client);
+                        peak_queue = peak_queue.max(uplink_wait.len());
+                    }
+                }
+                Event::TransferDone { client } => {
+                    n_transfers += 1;
+                    if trace_events {
+                        let fields =
+                            vec![("client", client.into()), ("queue", uplink_wait.len().into())];
+                        match link(client) {
+                            Some(ctx) => {
+                                let span = ctx.child(HOP_ARRIVAL).child(HOP_TRANSFER);
+                                telemetry.trace_event(now, "des.transfer_done", span, fields);
+                            }
+                            None => telemetry.event(now, "des.transfer_done", fields),
+                        }
+                    }
+                    // Hand the uplink to the next waiter (if any).
+                    if let Some(next) = uplink_wait.pop_front() {
+                        push(&mut events, now + transfer, Event::TransferDone { client: next });
+                    } else {
+                        uplink_in_use -= 1;
+                        if uplink_in_use == 0 {
+                            receive_busy += now - receive_since;
+                        }
+                    }
+                    // Queue for processing. The CPU is free only when no
+                    // one is waiting AND the current run has ended. The
+                    // wait-queue check matters at exact float ties: when a
+                    // transfer finishes at precisely the running job's end (the
+                    // constant transfer/process durations put both event
+                    // streams on a shared lattice under saturation), the
+                    // pending process-done for that instant has not popped
+                    // yet — starting this client here would jump it past
+                    // the FIFO waiters and double-book the CPU.
+                    match cpu {
+                        Some((_, t)) if t > now || !cpu_wait.is_empty() => {
+                            cpu_wait.push_back(client)
+                        }
+                        _ => {
+                            cpu = Some((client, now + process));
+                            process_busy += process;
+                            push(&mut events, now + process, Event::ProcessDone { client });
+                        }
+                    }
+                }
+                Event::ProcessDone { client } => {
+                    n_processed += 1;
+                    if trace_events {
+                        let fields = vec![("client", client.into())];
+                        match link(client) {
+                            Some(ctx) => {
+                                let span =
+                                    ctx.child(HOP_ARRIVAL).child(HOP_TRANSFER).child(HOP_PROCESS);
+                                telemetry.trace_event(now, "des.process_done", span, fields);
+                            }
+                            None => telemetry.event(now, "des.process_done", fields),
+                        }
+                    }
+                    completion[client] = now;
+                    // A transfer-done of this same instant that popped
+                    // first found the CPU free (`t > now` fails at
+                    // `t == now`) and already took it; then this
+                    // completion frees nothing, and handing the CPU to
+                    // the next waiter as well would run two jobs at once.
+                    if cpu.is_some_and(|(job, _)| job == client) {
+                        if let Some(next) = cpu_wait.pop_front() {
+                            cpu = Some((next, now + process));
+                            process_busy += process;
+                            push(&mut events, now + process, Event::ProcessDone { client: next });
+                        }
+                    }
+                }
+            }
+        }
+        if uplink_in_use > 0 {
+            receive_busy += last_time - receive_since;
+        }
+
+        LoopOutcome {
+            receive_busy,
+            process_busy,
+            completion,
+            peak_queue,
+            last_time,
+            n_arrivals,
+            n_transfers,
+            n_processed,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::presets;
     use crate::ServiceKind;
+    use pb_telemetry::Value;
 
     fn server(cap: usize) -> ServerModel {
         presets::cloud_server(ServiceKind::Cnn, cap)
     }
 
     /// The CPU hand-off at an exact float tie: a transfer finishing at
-    /// precisely `cpu_busy_until` must join the back of a non-empty
+    /// precisely the running job's end must join the back of a non-empty
     /// wait queue, not seize the CPU past the FIFO waiters. Constant
     /// transfer/process durations put both event streams on a shared
     /// lattice once the uplink saturates, so these ties are reachable
@@ -942,16 +1032,189 @@ mod tests {
         sort_arrival_times(&mut arrivals);
         let entries: Vec<(f64, usize)> =
             arrivals.iter().enumerate().map(|(client, &t)| (t, client)).collect();
-        let exact = exact_event_loop(k, &entries, &srv, &Telemetry::ring(1), None);
+        let exact = oracle::exact_event_loop(k, &entries, &srv, &Telemetry::ring(1), None);
         let process = srv.process_duration.value();
         assert!(
             exact.last_time >= k as f64 * process,
             "single CPU cannot finish {k} jobs of {process} s by {} s",
             exact.last_time
         );
-        let fast = replay_core(k, &arrivals, None, &srv, None);
-        assert_eq!(fast.completion, exact.completion);
-        assert_eq!(fast.last_time, exact.last_time);
+        let fast = replay_core(k, &arrivals, None, &srv, None, &Telemetry::disabled(), None);
+        assert_eq!(outcome_bits(&fast), outcome_bits(&exact));
+    }
+
+    /// A server with integer transfer and process durations: on a
+    /// lattice, arrival, transfer-done and process-done instants collide
+    /// exactly, which is where event order is decided by push sequence.
+    fn lattice_server(cap: usize, transfer: u32, process: u32) -> ServerModel {
+        ServerModel {
+            receive_duration: Seconds(f64::from(transfer)),
+            process_duration: Seconds(f64::from(process)),
+            max_parallel: cap,
+            ..server(cap)
+        }
+    }
+
+    /// Everything a [`LoopOutcome`] holds, floats as bits.
+    fn outcome_bits(o: &LoopOutcome) -> (u64, u64, Vec<u64>, usize, u64, [u64; 3]) {
+        (
+            o.receive_busy.to_bits(),
+            o.process_busy.to_bits(),
+            o.completion.iter().map(|c| c.to_bits()).collect(),
+            o.peak_queue,
+            o.last_time.to_bits(),
+            [o.n_arrivals, o.n_transfers, o.n_processed],
+        )
+    }
+
+    /// Every recorded event as (t bits, kind, fields), in emission order.
+    /// Tagged events carry their trace/span/parent ids as fields.
+    fn event_tuples(tel: &Telemetry) -> Vec<(u64, String, String)> {
+        let events = tel.events();
+        debug_assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
+        events
+            .iter()
+            .map(|e| (e.t_sim.to_bits(), e.kind.to_string(), format!("{:?}", e.fields)))
+            .collect()
+    }
+
+    /// Runs replay + emitter and the oracle loop on the same resolved
+    /// transfers of `n_clients` clients, and asserts identical outcomes
+    /// and identical event streams. `rows` are in push (client) order;
+    /// with `positional`, they must be every client's clean transfer,
+    /// and the replay takes its positional (no client column) form.
+    fn assert_matches_oracle(
+        srv: &ServerModel,
+        n_clients: usize,
+        rows: &TransferColumns,
+        positional: bool,
+        links: Option<&[Option<SpanCtx>]>,
+    ) {
+        let (fast_tel, exact_tel) = (Telemetry::enabled(), Telemetry::enabled());
+        let fast = if positional {
+            assert_eq!(rows.divergent_count(), 0);
+            let (times, _) = rows.pop_order_columns();
+            replay_core(n_clients, &times, None, srv, None, &fast_tel, links)
+        } else {
+            let (times, clients) = rows.pop_order_columns();
+            replay_core(n_clients, &times, Some(&clients), srv, None, &fast_tel, links)
+        };
+        let exact =
+            oracle::exact_event_loop(n_clients, &rows.push_order_entries(), srv, &exact_tel, links);
+        let at = format!(
+            "cap {}, transfer {}, process {}, n {n_clients}",
+            srv.max_parallel, srv.receive_duration, srv.process_duration
+        );
+        // One CPU: completions of delivered clients lie at least one
+        // process duration apart.
+        let mut done: Vec<f64> = exact.completion.iter().copied().filter(|&c| c > 0.0).collect();
+        done.sort_by(f64::total_cmp);
+        let process = srv.process_duration.value();
+        assert!(done.windows(2).all(|w| w[1] >= w[0] + process), "{at}: CPU double-booked");
+        assert_eq!(outcome_bits(&fast), outcome_bits(&exact), "{at}: outcome diverged");
+        let (got, want) = (event_tuples(&fast_tel), event_tuples(&exact_tel));
+        assert_eq!(got.len(), want.len(), "{at}: event count");
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g, w, "{at}: event {i} diverged");
+        }
+    }
+
+    /// Generated resolved transfers: `n` clients wake on a grid of
+    /// `grid` integer instants (so many share one), sorted; a `dropped`
+    /// share never reaches the uplink and a `divergent` share arrives
+    /// an integer number of seconds late, out of wake-up order.
+    fn lattice_rows(
+        rng: &mut StdRng,
+        n: usize,
+        grid: u32,
+        dropped: f64,
+        divergent: f64,
+    ) -> TransferColumns {
+        let mut wake: Vec<f64> = (0..n).map(|_| f64::from(rng.gen_range(0..grid))).collect();
+        wake.sort_by(f64::total_cmp);
+        let mut rows = TransferColumns::with_capacity(n);
+        for (client, &t) in wake.iter().enumerate() {
+            if rng.gen::<f64>() < dropped {
+                continue;
+            }
+            if rng.gen::<f64>() < divergent {
+                let attempts = rng.gen_range(2u64..5);
+                rows.push(t + f64::from(rng.gen_range(1u32..40)), client, attempts);
+            } else {
+                rows.push(t, client, 1);
+            }
+        }
+        rows
+    }
+
+    /// Causal links as the cycle builds them: an attempt span for every
+    /// delivered client, keyed by its trace id.
+    fn links_for(rows: &TransferColumns, n_clients: usize) -> Vec<Option<SpanCtx>> {
+        let mut links = vec![None; n_clients];
+        for (_, client) in rows.push_order_entries() {
+            links[client] = Some(SpanCtx::attempt(trace_id(0xD35, client as u64), 1));
+        }
+        links
+    }
+
+    /// The tie PR 9's kind-order rule (arrival < transfer-done <
+    /// process-done) got wrong. Cap 1, transfer 1 s, process 2 s, three
+    /// clients waking at t = 0: at t = 3 client 0's process-done (pushed
+    /// at t = 1, seq 5) pops before client 2's transfer-done (pushed at
+    /// t = 2, seq 6).
+    #[test]
+    fn process_done_pushed_first_pops_first_at_a_tie() {
+        let srv = lattice_server(1, 1, 2);
+        let mut rows = TransferColumns::with_capacity(3);
+        for client in 0..3 {
+            rows.push(0.0, client, 1);
+        }
+        assert_matches_oracle(&srv, 3, &rows, true, None);
+        let tel = Telemetry::enabled();
+        let (times, _) = rows.pop_order_columns();
+        replay_core(3, &times, None, &srv, None, &tel, None);
+        let events = tel.events();
+        let order: Vec<(f64, &str, Value)> =
+            events.iter().map(|e| (e.t_sim, e.kind.as_ref(), e.fields[0].1.clone())).collect();
+        let client = |c: u64| Value::U64(c);
+        assert_eq!(
+            order,
+            [
+                (0.0, "des.arrival", client(0)),
+                (0.0, "des.arrival", client(1)),
+                (0.0, "des.arrival", client(2)),
+                (1.0, "des.transfer_done", client(0)),
+                (2.0, "des.transfer_done", client(1)),
+                (3.0, "des.process_done", client(0)),
+                (3.0, "des.transfer_done", client(2)),
+                (5.0, "des.process_done", client(1)),
+                (7.0, "des.process_done", client(2)),
+            ]
+        );
+    }
+
+    /// Replay + emitter against the oracle at fleet scale, with
+    /// continuous wake-ups, faulted-style divergence and causal tags.
+    #[test]
+    fn replay_matches_the_oracle_at_1e5_clients() {
+        let n = 100_000;
+        let srv = server(35);
+        let mut rng = StdRng::seed_from_u64(0x1E5);
+        let mut wake: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..srv.cycle.value())).collect();
+        sort_arrival_times(&mut wake);
+        let mut clean = TransferColumns::with_capacity(n);
+        let mut faulted = TransferColumns::with_capacity(n);
+        for (client, &t) in wake.iter().enumerate() {
+            clean.push(t, client, 1);
+            match rng.gen_range(0u32..10) {
+                0 => {}
+                1 => faulted.push(t + 15.0 * rng.gen::<f64>(), client, 2),
+                _ => faulted.push(t, client, 1),
+            }
+        }
+        assert_matches_oracle(&srv, n, &clean, true, None);
+        let links = links_for(&faulted, n);
+        assert_matches_oracle(&srv, n, &faulted, false, Some(&links));
     }
 
     #[test]
@@ -1100,9 +1363,46 @@ mod tests {
         assert_eq!(tel.snapshot().counter("des.events.arrival"), Some(30));
     }
 
+    #[test]
+    #[should_panic(expected = "need at least one client per slot")]
+    fn a_server_without_uplink_lanes_is_rejected() {
+        let srv = ServerModel { max_parallel: 0, ..server(1) };
+        simulate_async_cycle(3, &srv, &mut StdRng::seed_from_u64(12));
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(proptest::test_runner::Config::with_cases(64))]
+            /// Replay + emitter == oracle on integer lattices, where
+            /// arrivals, transfer-dones and process-dones collide:
+            /// process shorter than, equal to and longer than transfer,
+            /// and zero; clean, dropped and divergent rows; with and
+            /// without causal tags.
+            #[test]
+            fn replay_and_emitter_match_the_oracle_on_lattices(
+                seed in 0u64..1_000_000,
+                cap in 1usize..40,
+                transfer in 1u32..5,
+                process in 0u32..7,
+                n in 0usize..400,
+                grid in 1u32..60,
+                faulted in proptest::bool::ANY,
+                tagged in proptest::bool::ANY,
+            ) {
+                let srv = lattice_server(cap, transfer, process);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let rows = if faulted {
+                    lattice_rows(&mut rng, n, grid, 0.1, 0.3)
+                } else {
+                    lattice_rows(&mut rng, n, grid, 0.0, 0.0)
+                };
+                let links = tagged.then(|| links_for(&rows, n));
+                assert_matches_oracle(&srv, n, &rows, !faulted, links.as_deref());
+            }
+        }
 
         proptest! {
             #![proptest_config(proptest::test_runner::Config::with_cases(32))]

@@ -1,22 +1,24 @@
-//! The shape-memoized DES fast path pinned against the exact event
-//! loop, bit for bit.
+//! The DES replay pinned to give the same bits whatever the telemetry
+//! sink asks of it.
 //!
 //! A sink that keeps per-event trajectories (a ring buffer, like every
-//! trace export) forces the DES onto the exact per-event loop, while a
-//! metrics-only handle takes the memoized replay. The two runs must
-//! agree on *everything observable*: every energy total, the fault
-//! ledger (attempts/retries/fallbacks/delivered and the
+//! trace export) makes the replay also emit one record per simulated
+//! event; a metrics-only handle gets none. The queueing model is the
+//! same replay on both sides, and the two runs must agree on
+//! *everything observable*: every energy total, the fault ledger
+//! (attempts/retries/fallbacks/delivered and the
 //! `delivered + fallbacks + dropouts == active` conservation law),
-//! every telemetry counter except the routing counters
-//! (`des.fastpath.replayed` on the replay, `des.fastpath.refused.*` on
-//! the loop, which count the same clients) and the `des.*` histograms
+//! every telemetry counter — `des.fastpath.replayed` included, which
+//! counts every participating client — and the `des.*` histograms
 //! (event-queue occupancy and cycle horizon). The agreement must hold
 //! at thread caps 1, 2 and N, across fault severities from none to
-//! outage-plus-brownout, and from a single client to 10⁵.
+//! outage-plus-brownout, and from a single client to 10⁵. That the
+//! emitted trajectories match the event-by-event simulation is pinned
+//! in the `des` module's own tests, against its oracle.
 //!
-//! The flight recorder keeps events but no trajectories, so it stays on
-//! the replay; a last pin checks that it sees exactly the full stream
-//! minus the `des.{arrival,transfer_done,process_done}` records.
+//! The flight recorder keeps events but no trajectories; a last pin
+//! checks that it sees exactly the full stream minus the
+//! `des.{arrival,transfer_done,process_done}` records.
 
 use precision_beekeeping::orchestra::allocator::FillPolicy;
 use precision_beekeeping::orchestra::faults::{Brownout, OutageWindow};
@@ -83,76 +85,56 @@ fn severity(label: char) -> FaultPlan {
 /// two multi-threaded runs, while the rest may not.
 type DesHistogram = (String, u64, f64, f64, f64, f64);
 
-/// The fast-path routing counters, in clients: each cycle adds its
-/// participating clients to exactly one of them.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-struct Routing {
-    replayed: u64,
-    refused_recording: u64,
-    refused_tagged: u64,
-    refused_no_slots: u64,
-}
-
-/// One DES evaluation plus its telemetry counters, with the routing
-/// counters split out (each exists on one path only; everything else
-/// must match bitwise), and its `des.*` histograms (span timings are
-/// wall-clock and excluded).
+/// One DES evaluation plus its telemetry counters and its `des.*`
+/// histograms (span timings are wall-clock and excluded).
 fn run(
     seed: u64,
     n: usize,
     plan: &FaultPlan,
     tel: Telemetry,
-) -> (CycleReport, Vec<(String, u64)>, Routing, Vec<DesHistogram>) {
+) -> (CycleReport, Vec<(String, u64)>, Vec<DesHistogram>) {
     let ctx = SimContext::with_telemetry(seed, tel.clone()).with_fault_plan(*plan);
     let report = Backend::Des.evaluate(&spec(35), n, &ctx);
     let snap = tel.snapshot();
-    let mut counters = snap.counters;
-    let mut take = |name: &str| {
-        counters.iter().position(|(k, _)| k == name).map(|i| counters.remove(i).1).unwrap_or(0)
-    };
-    let routing = Routing {
-        replayed: take("des.fastpath.replayed"),
-        refused_recording: take("des.fastpath.refused.recording"),
-        refused_tagged: take("des.fastpath.refused.tagged"),
-        refused_no_slots: take("des.fastpath.refused.no_slots"),
-    };
     let histograms = snap
         .histograms
         .into_iter()
         .filter(|(k, _)| k.starts_with("des."))
         .map(|(k, h)| (k, h.count, h.min, h.max, h.p50, h.p95))
         .collect();
-    (report, counters, routing, histograms)
+    (report, snap.counters, histograms)
 }
 
-/// The core pin: fast path (metrics-only telemetry) vs exact loop
-/// (ring sink keeps events, which forces the per-event path), at one
-/// thread cap.
+/// The counter `name`, 0 when absent.
+fn counter(counters: &[(String, u64)], name: &str) -> u64 {
+    counters.iter().find(|(k, _)| k == name).map_or(0, |&(_, v)| v)
+}
+
+/// The core pin: metrics-only telemetry vs a ring sink that keeps
+/// trajectories, at one thread cap.
 fn assert_equivalent(seed: u64, n: usize, label: char) {
     let plan = severity(label);
-    let (fast, fast_counters, fast_routing, fast_histograms) =
-        run(seed, n, &plan, Telemetry::metrics_only());
-    let (exact, exact_counters, exact_routing, exact_histograms) =
+    let (fast, fast_counters, fast_histograms) = run(seed, n, &plan, Telemetry::metrics_only());
+    let (recorded, recorded_counters, recorded_histograms) =
         run(seed, n, &plan, Telemetry::ring(1));
-    assert_eq!(fast, exact, "severity {label}, n={n}: report diverged");
-    assert_eq!(fast_counters, exact_counters, "severity {label}, n={n}: counters diverged");
-    assert_eq!(fast_histograms, exact_histograms, "severity {label}, n={n}: histograms diverged");
-    assert_eq!(exact_routing.replayed, 0, "the exact loop must never report replayed clients");
-    let replayed = fast_routing.replayed;
-    if label == 'N' && n > 0 {
-        assert!(replayed > 0, "fault-free n={n} must take the fast path");
-    }
-    // Every client the replay took, the loop refused for the recording
-    // sink, and for no other reason.
+    assert_eq!(fast, recorded, "severity {label}, n={n}: report diverged");
+    assert_eq!(fast_counters, recorded_counters, "severity {label}, n={n}: counters diverged");
     assert_eq!(
-        fast_routing,
-        Routing { replayed, ..Routing::default() },
-        "severity {label}, n={n}: the metrics-only run refused the replay"
+        fast_histograms, recorded_histograms,
+        "severity {label}, n={n}: histograms diverged"
     );
+    // Every participating client is replayed (all active clients when
+    // no fault can strike; the `NONE` ledger stays empty), and no cycle
+    // takes any other path.
+    let participating = if label == 'N' { fast.n_active as u64 } else { fast.faults.delivered };
     assert_eq!(
-        exact_routing,
-        Routing { refused_recording: replayed, ..Routing::default() },
-        "severity {label}, n={n}: refused.recording must count the replayed clients"
+        counter(&fast_counters, "des.fastpath.replayed"),
+        participating,
+        "severity {label}, n={n}: replayed != participating clients"
+    );
+    assert!(
+        !fast_counters.iter().any(|(k, _)| k.starts_with("des.fastpath.refused")),
+        "severity {label}, n={n}: a refusal counter exists"
     );
 
     // Conservation: no sample is ever lost, on either path. (A `NONE`
@@ -167,7 +149,7 @@ fn assert_equivalent(seed: u64, n: usize, label: char) {
     }
 }
 
-/// And the fast path must not care how the fleet is sharded.
+/// And the replay must not care how the fleet is sharded.
 fn assert_thread_stable(seed: u64, n: usize, label: char) {
     let plan = severity(label);
     let eval = || run(seed, n, &plan, Telemetry::metrics_only()).0;
@@ -177,7 +159,7 @@ fn assert_thread_stable(seed: u64, n: usize, label: char) {
 }
 
 #[test]
-fn fastpath_matches_exact_loop_across_severities_and_populations() {
+fn recorded_run_matches_metrics_only_across_severities_and_populations() {
     init_pool();
     for label in ['N', 'A', 'B', 'C'] {
         for n in [1usize, 7, 1_000] {
@@ -188,10 +170,11 @@ fn fastpath_matches_exact_loop_across_severities_and_populations() {
 }
 
 #[test]
-fn fastpath_matches_exact_loop_at_1e5_clients() {
+fn recorded_run_matches_metrics_only_at_1e5_clients() {
     init_pool();
-    // The 10⁵ point only needs one severity per path regime: mid
-    // exercises the clean/divergent split, fault-free the pure replay.
+    // The 10⁵ point only needs one severity per replay regime: mid
+    // exercises the clean/divergent split, fault-free the positional
+    // replay.
     for label in ['N', 'B'] {
         assert_equivalent(23, 100_000, label);
         assert_thread_stable(23, 100_000, label);
@@ -218,14 +201,15 @@ fn flight_recorder_replays_and_sees_the_stream_minus_trajectories() {
             for n in [7usize, 1_000] {
                 // Large enough that no severity ring evicts anything.
                 let recorder = Arc::new(FlightRecorderSink::new(1 << 20));
-                let (recorded, _, routing, _) =
+                let (recorded, counters, _) =
                     run(31, n, &plan, Telemetry::with_sink(Box::new(Arc::clone(&recorder))));
                 let full_tel = Telemetry::enabled();
                 let (full, ..) = run(31, n, &plan, full_tel.clone());
                 let at = format!("severity {label}, n={n}");
                 assert_eq!(format!("{recorded:?}"), format!("{full:?}"), "{at}: report diverged");
                 assert_eq!(
-                    routing.replayed, recorded.faults.delivered,
+                    counter(&counters, "des.fastpath.replayed"),
+                    recorded.faults.delivered,
                     "{at}: the recorded run must replay every delivered client"
                 );
 
@@ -251,8 +235,8 @@ fn flight_recorder_replays_and_sees_the_stream_minus_trajectories() {
 proptest! {
     #![proptest_config(proptest::test_runner::Config::with_cases(6))]
 
-    /// Any seed, any severity, small populations: the replay and the
-    /// exact loop stay bitwise interchangeable.
+    /// Any seed, any severity, small populations: recording the
+    /// trajectories changes no bit of the result.
     #[test]
     fn fastpath_equivalence_holds_for_any_seed(
         seed in 0u64..1_000_000,
