@@ -65,10 +65,12 @@ const SCALE_CLIENTS_PER_SEC: &[(&str, u64, f64)] = &[
     ("des_faulted_mid", 10_000, 14_564_626.9),
     ("des_faulted_mid", 100_000, 13_354_888.1),
     // The recorded floors assume the flight recorder receives no
-    // per-event DES trajectories; building them for it (the exact loop
-    // it used to force ran at ~1.4 M clients/s) fails these rows.
-    ("des_recorded_mid", 10_000, 8_961_448.7),
-    ("des_recorded_mid", 100_000, 8_355_393.7),
+    // per-event DES trajectories (the exact loop they used to force ran
+    // at ~1.4 M clients/s, which fails these rows). They were raised
+    // from 8.4–9.0 M clients/s when recording an event stopped writing
+    // a counter shared by every worker.
+    ("des_recorded_mid", 10_000, 10_115_713.6),
+    ("des_recorded_mid", 100_000, 13_302_443.3),
 ];
 
 /// Pinned pooled-sweep latencies (milliseconds, `pool_nt_ms`) from

@@ -16,7 +16,7 @@ use crate::faults::{
 };
 use crate::server::ServerModel;
 use pb_telemetry::trace::{trace_id, SpanCtx, HOP_ARRIVAL, HOP_PROCESS, HOP_TRANSFER};
-use pb_telemetry::{Fields, Telemetry};
+use pb_telemetry::{Fields, Schema, Slot, Telemetry};
 use pb_units::{Joules, Seconds, Watts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -742,6 +742,16 @@ fn emit_hop(
     }
 }
 
+/// One `des.cycle_done` per server of a recorded cycle, packed so it
+/// records without a heap block.
+static CYCLE_DONE: Schema = Schema(&[
+    ("n_clients", Slot::U64),
+    ("peak_queue", Slot::U64),
+    ("receive_busy_s", Slot::F64),
+    ("process_busy_s", Slot::F64),
+    ("server_energy_j", Slot::F64),
+]);
+
 /// Mirrors one cycle's event counts, its replayed clients, queue peaks,
 /// horizon and — when the sink keeps events — the `des.cycle_done`
 /// summary into telemetry.
@@ -772,17 +782,14 @@ fn flush_telemetry(
     telemetry.observe("des.queue.occupancy", out.n_arrivals as f64);
     telemetry.observe("des.cycle.horizon_s", horizon);
     if telemetry.events_recording() {
-        telemetry.event(
-            horizon,
-            "des.cycle_done",
-            vec![
-                ("n_clients", n_clients.into()),
-                ("peak_queue", out.peak_queue.into()),
-                ("receive_busy_s", out.receive_busy.into()),
-                ("process_busy_s", out.process_busy.into()),
-                ("server_energy_j", server_energy.value().into()),
-            ],
-        );
+        let values = [
+            n_clients.into(),
+            out.peak_queue.into(),
+            out.receive_busy.into(),
+            out.process_busy.into(),
+            server_energy.value().into(),
+        ];
+        telemetry.event(horizon, "des.cycle_done", Fields::packed(&CYCLE_DONE, values));
     }
 }
 
@@ -1174,8 +1181,10 @@ mod tests {
         let (times, _) = rows.pop_order_columns();
         replay_core(3, &times, None, &srv, None, &tel, None);
         let events = tel.events();
-        let order: Vec<(f64, &str, Value)> =
-            events.iter().map(|e| (e.t_sim, e.kind.as_ref(), e.fields[0].1.clone())).collect();
+        let order: Vec<(f64, &str, Value)> = events
+            .iter()
+            .map(|e| (e.t_sim, e.kind.as_ref(), e.fields.get("client").unwrap().into_owned()))
+            .collect();
         let client = |c: u64| Value::U64(c);
         assert_eq!(
             order,

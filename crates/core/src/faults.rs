@@ -61,9 +61,10 @@ use crate::client::ClientModel;
 use crate::server::ServerModel;
 use pb_energy::battery::Battery;
 use pb_telemetry::trace::{SpanCtx, HOP_TERMINAL};
-use pb_telemetry::Telemetry;
+use pb_telemetry::{Fields, Schema, Slot, Telemetry, Value};
 use pb_units::{Joules, Seconds, Watts};
 use rand::Rng;
+use std::borrow::Cow;
 
 /// XOR'd into a point seed to derive its independent fault stream
 /// (disjoint from the loss-draw stream by construction).
@@ -685,11 +686,7 @@ pub(crate) fn resolve_client<R: Rng + ?Sized>(
                 None if telemetry.events_recording() => telemetry.event(
                     t.value(),
                     "fault.fallback",
-                    vec![
-                        ("t0", t.value().into()),
-                        ("attempts", 0u64.into()),
-                        ("cause", "brownout".into()),
-                    ],
+                    Fields::packed(&BROWNOUT_FALLBACK, [t.value().into()]),
                 ),
                 None => {}
             }
@@ -699,6 +696,14 @@ pub(crate) fn resolve_client<R: Rng + ?Sized>(
         ClientClass::Uploader => exact_transfer(plan, t, rng, telemetry, causal),
     }
 }
+
+/// The untagged brown-out `fault.fallback`: one per browned-out client
+/// of a recorded sweep, so it is packed to record without a heap block.
+static BROWNOUT_FALLBACK: Schema = Schema(&[
+    ("t0", Slot::F64),
+    ("attempts", Slot::Fixed(Value::U64(0))),
+    ("cause", Slot::Fixed(Value::Str(Cow::Borrowed("brownout")))),
+]);
 
 /// Mirrors a cycle's fault accounting into the `fault.*` counters.
 pub(crate) fn publish_stats(telemetry: &Telemetry, stats: &FaultStats) {

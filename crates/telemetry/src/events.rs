@@ -6,16 +6,29 @@
 //! bounded ([`RingBufferSink`]) or dropped ([`NoopSink`]).
 //!
 //! Building an event allocates nothing on the common path: the kind is
-//! a `'static` literal, a one-field event keeps its field inline
-//! ([`Fields`]), and constant text values borrow their literal
-//! ([`Value::Str`]). JSON is rendered only by the exporters and the
-//! flight recorder's dump.
+//! a `'static` literal, a one-field event keeps its field inline, a
+//! fixed-layout record of up to [`PACKED`] run-time numbers keeps them
+//! inline under a static [`Schema`] ([`Fields`]), and constant text
+//! values borrow their literal ([`Value::Str`]). JSON is rendered only
+//! by the exporters and the flight recorder's dump.
+//!
+//! # Order
+//!
+//! While recording, [`Event::seq`] holds the event's *key*: its task's
+//! position in the tree of parallel operations plus the task's step
+//! count ([`rayon::pool::next_key`]). Keys order events as they would
+//! be recorded at thread cap 1, whichever worker recorded them, and
+//! taking one writes nothing another worker writes. Exports
+//! ([`sort_for_export`]) replace each key by the event's rank in key
+//! order, so the `seq` a trace prints is the same at any thread count.
 
 use crate::json;
 use std::borrow::Cow;
+use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A typed event field value.
@@ -112,16 +125,40 @@ impl Value {
 /// One named field of an event.
 type Field = (&'static str, Value);
 
-/// An event's extra fields: a small list that keeps one field inline and
-/// spills two or more to a `Vec`.
+/// Run-time values a [`Schema`] payload holds inline.
+pub const PACKED: usize = 5;
+
+/// How one field of a [`Schema`] reads back.
+#[derive(Debug)]
+pub enum Slot {
+    /// An unsigned integer supplied at run time.
+    U64,
+    /// A float supplied at run time.
+    F64,
+    /// A value the schema fixes, such as a cause label.
+    Fixed(Value),
+}
+
+/// The field names and slot types of a fixed-layout record, declared
+/// once as a `static` and shared by every event of its kind. At most
+/// [`PACKED`] of its slots may be run-time ones.
+#[derive(Debug)]
+pub struct Schema(pub &'static [(&'static str, Slot)]);
+
+/// An event's extra fields: a small list that keeps one field, or a
+/// [`Schema`] record, inline and spills any other list of two or more
+/// to a `Vec`.
 ///
 /// Most hot-path events (`fault.retry`, `fault.outage`,
-/// `fault.packet_drop`, `fault.fallback`) carry exactly one field, so
-/// recording them allocates nothing. `Fields` derefs to
-/// `[(&'static str, Value)]`, and its `Debug` and `PartialEq` are the
-/// slice's: an event prints and compares exactly as it did when its
-/// fields were a `Vec`. Build one from an array (`[("attempt",
-/// 1u64.into())]`, no allocation for up to one field) or from a `Vec`.
+/// `fault.packet_drop`, `fault.fallback`) carry exactly one field, and
+/// the multi-field records a faulted sweep keeps (the brown-out
+/// `fault.fallback`, `des.cycle_done`) are [`Fields::packed`], so
+/// recording them allocates nothing. Iteration yields `(name, value)`
+/// pairs in order; `Debug` and `PartialEq` are the pair list's, so an
+/// event prints and compares the same whichever way its fields are
+/// held. Build one from an array (`[("attempt", 1u64.into())]`, no
+/// allocation for up to one field), from a `Vec`, or with
+/// [`Fields::packed`].
 #[derive(Clone, Default)]
 pub struct Fields(Repr);
 
@@ -131,10 +168,60 @@ enum Repr {
     Empty,
     One(Field),
     Many(Vec<Field>),
+    Packed(&'static Schema, [u64; PACKED]),
 }
 
 impl Fields {
-    /// Appends a field; a second field spills the list to the heap.
+    /// A [`Schema`] record: `values` fill the schema's run-time slots
+    /// in order and are held inline, however many fields the schema
+    /// names.
+    ///
+    /// # Panics
+    /// Panics when `values` do not match the run-time slots in number
+    /// or type.
+    pub fn packed<const N: usize>(schema: &'static Schema, values: [Value; N]) -> Fields {
+        let mut raw = [0u64; PACKED];
+        let mut values = values.into_iter();
+        let slots = schema.0.iter().filter(|(_, slot)| !matches!(slot, Slot::Fixed(_)));
+        for ((name, slot), bits) in slots.zip(&mut raw) {
+            *bits = match (slot, values.next()) {
+                (Slot::U64, Some(Value::U64(v))) => v,
+                (Slot::F64, Some(Value::F64(v))) => v.to_bits(),
+                (slot, v) => panic!("field {name}: {v:?} does not fill a {slot:?} slot"),
+            };
+        }
+        assert!(values.next().is_none(), "more values than the schema's run-time slots");
+        Fields(Repr::Packed(schema, raw))
+    }
+
+    /// Number of fields.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Repr::Empty => 0,
+            Repr::One(_) => 1,
+            Repr::Many(all) => all.len(),
+            Repr::Packed(schema, _) => schema.0.len(),
+        }
+    }
+
+    /// True when the event has no extra fields.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `(name, value)` pairs, in order. Stored values are borrowed;
+    /// a [`Schema`] record's run-time values are decoded.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter { fields: self, next: 0, raw: 0 }
+    }
+
+    /// The value of the first field named `name`.
+    pub fn get(&self, name: &str) -> Option<Cow<'_, Value>> {
+        self.iter().find(|(k, _)| *k == name).map(|(_, v)| v)
+    }
+
+    /// Appends a field; a second field, or one added to a [`Schema`]
+    /// record, spills the list to the heap.
     pub fn push(&mut self, field: Field) {
         self.0 = match std::mem::take(&mut self.0) {
             Repr::Empty => Repr::One(field),
@@ -143,25 +230,51 @@ impl Fields {
                 all.push(field);
                 Repr::Many(all)
             }
+            packed @ Repr::Packed(..) => {
+                let mut all: Vec<Field> =
+                    Fields(packed).iter().map(|(k, v)| (k, v.into_owned())).collect();
+                all.push(field);
+                Repr::Many(all)
+            }
         };
     }
 }
 
-impl std::ops::Deref for Fields {
-    type Target = [Field];
+/// Iterator over an event's `(name, value)` pairs ([`Fields::iter`]).
+#[derive(Debug)]
+pub struct Iter<'a> {
+    fields: &'a Fields,
+    next: usize,
+    raw: usize,
+}
 
-    fn deref(&self) -> &[Field] {
-        match &self.0 {
-            Repr::Empty => &[],
-            Repr::One(field) => std::slice::from_ref(field),
-            Repr::Many(all) => all,
+impl<'a> Iterator for Iter<'a> {
+    type Item = (&'static str, Cow<'a, Value>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let i = self.next;
+        self.next += 1;
+        match &self.fields.0 {
+            Repr::Empty => None,
+            Repr::One((k, v)) => (i == 0).then_some((*k, Cow::Borrowed(v))),
+            Repr::Many(all) => all.get(i).map(|(k, v)| (*k, Cow::Borrowed(v))),
+            Repr::Packed(schema, raw) => {
+                let (name, slot) = schema.0.get(i)?;
+                let value = match slot {
+                    Slot::Fixed(v) => return Some((name, Cow::Borrowed(v))),
+                    Slot::U64 => Value::U64(raw[self.raw]),
+                    Slot::F64 => Value::F64(f64::from_bits(raw[self.raw])),
+                };
+                self.raw += 1;
+                Some((name, Cow::Owned(value)))
+            }
         }
     }
 }
 
 impl<'a> IntoIterator for &'a Fields {
-    type Item = &'a Field;
-    type IntoIter = std::slice::Iter<'a, Field>;
+    type Item = (&'static str, Cow<'a, Value>);
+    type IntoIter = Iter<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
@@ -170,13 +283,13 @@ impl<'a> IntoIterator for &'a Fields {
 
 impl fmt::Debug for Fields {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
 impl PartialEq for Fields {
     fn eq(&self, other: &Self) -> bool {
-        **self == **other
+        self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
@@ -204,8 +317,9 @@ impl<const N: usize> From<[Field; N]> for Fields {
 pub struct Event {
     /// Simulation timestamp in seconds (`"t"` in JSONL).
     pub t_sim: f64,
-    /// Recording sequence number — the tiebreaker that makes the sorted
-    /// export deterministic (`"seq"` in JSONL).
+    /// Order within equal times (`"seq"` in JSONL). While recording it
+    /// is the event's key ([`rayon::pool::next_key`]); in an export
+    /// ([`sort_for_export`]) it is the event's rank in key order.
     pub seq: u64,
     /// Event type, dot-namespaced by layer (e.g. `"des.arrival"`).
     /// Recorded events borrow a `'static` literal, so recording one
@@ -243,13 +357,128 @@ impl Event {
     }
 }
 
+/// Puts events in export order: each `seq` (a key) becomes the event's
+/// rank in key order, then events sort by `(t, rank)`. Equal keys keep
+/// their given order. Ranking is idempotent, so events that already
+/// carry ranks keep them.
+pub fn sort_for_export(events: &mut [Event]) {
+    events.sort_by_key(|e| e.seq);
+    for (rank, e) in events.iter_mut().enumerate() {
+        e.seq = rank as u64;
+    }
+    events.sort_by(|a, b| a.t_sim.total_cmp(&b.t_sim).then(a.seq.cmp(&b.seq)));
+}
+
+/// Renders events as JSONL in export order ([`sort_for_export`]).
+pub fn export_jsonl(mut events: Vec<Event>) -> String {
+    sort_for_export(&mut events);
+    let mut out = String::new();
+    for e in &events {
+        e.write_json(&mut out);
+        out.push('\n');
+    }
+    out
+}
+
+/// The recording shard of the calling thread, fixed for its lifetime:
+/// threads are handed indices round-robin, so up to `shards` threads
+/// record into distinct shards.
+pub(crate) fn shard_index(shards: usize) -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed);
+    }
+    SHARD.with(|s| *s) % shards
+}
+
+/// One shard of a sharded sink: a value on cache lines of its own, so
+/// one worker's writes to it do not invalidate a neighbour's, behind a
+/// spin lock. A shard's lock is almost always taken by the one thread
+/// that records into it, so it is rarely contended; taking it costs one
+/// atomic read-modify-write and releasing it a plain store, where a
+/// `Mutex` release is a second read-modify-write (about 10% of
+/// perfbench's recorded point on a 2-vCPU guest).
+#[derive(Default)]
+#[repr(align(128))]
+pub(crate) struct Shard<T> {
+    locked: AtomicBool,
+    value: UnsafeCell<T>,
+}
+
+// SAFETY: `locked` is an atomic. `value` is reached only through a
+// `ShardGuard`, which exists only while `locked` is held, and the lock
+// admits one guard at a time, so no two threads touch `value` at once;
+// `T: Send` lets the guard's thread use and drop a value another
+// thread stored.
+unsafe impl<T: Send> Sync for Shard<T> {}
+
+impl<T> Shard<T> {
+    /// Locks the shard, spinning briefly and then yielding while another
+    /// thread (a reader, or a recorder sharing the shard) holds it.
+    pub(crate) fn lock(&self) -> ShardGuard<'_, T> {
+        while self
+            .locked
+            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            let mut spins = 0u32;
+            while self.locked.load(Ordering::Relaxed) {
+                if spins < 64 {
+                    std::hint::spin_loop();
+                    spins += 1;
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+        }
+        ShardGuard { shard: self }
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Shard<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.lock(), f)
+    }
+}
+
+/// Exclusive access to a [`Shard`]'s value; unlocks on drop, also when
+/// unwinding, leaving the value as the panicking writer left it.
+pub(crate) struct ShardGuard<'a, T> {
+    shard: &'a Shard<T>,
+}
+
+impl<T> std::ops::Deref for ShardGuard<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        // SAFETY: the guard holds the shard's lock.
+        unsafe { &*self.shard.value.get() }
+    }
+}
+
+impl<T> std::ops::DerefMut for ShardGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: the guard holds the shard's lock, and `&mut self`
+        // makes this the only reference through it.
+        unsafe { &mut *self.shard.value.get() }
+    }
+}
+
+impl<T> Drop for ShardGuard<'_, T> {
+    fn drop(&mut self) {
+        self.shard.locked.store(false, Ordering::Release);
+    }
+}
+
 /// Destination of recorded events. Implementations must be safe to share
 /// across threads (sweeps record from rayon workers).
 pub trait EventSink: Send + Sync + fmt::Debug {
     /// Accepts one event.
     fn record(&self, event: Event);
 
-    /// A snapshot of the retained events, in recording order.
+    /// A snapshot of the retained events. The workspace's sinks return
+    /// them in key order (`seq` ascending), except [`RingBufferSink`],
+    /// which returns its arrival order.
     fn events(&self) -> Vec<Event>;
 
     /// Number of retained events.
@@ -272,10 +501,9 @@ pub trait EventSink: Send + Sync + fmt::Debug {
     /// True when the sink wants every per-event simulation trajectory —
     /// the DES's `des.{arrival,transfer_done,process_done}` records —
     /// and not only the events the fault pre-pass and the cycle summary
-    /// emit. Only then does the DES leave its O(m) replay for the exact
-    /// event loop, since the replay builds no per-event records. The
-    /// default is `false`: a sink keeps what reaches it, and trace
-    /// exports opt in ([`BufferSink`], [`RingBufferSink`]).
+    /// emit. Only then does the DES rebuild those records from its
+    /// replay. The default is `false`: a sink keeps what reaches it,
+    /// and trace exports opt in ([`BufferSink`], [`RingBufferSink`]).
     fn keeps_trajectories(&self) -> bool {
         false
     }
@@ -302,10 +530,18 @@ impl EventSink for NoopSink {
     }
 }
 
+/// Shards of a [`BufferSink`].
+const BUFFER_SHARDS: usize = 8;
+
 /// Keeps every event in memory — the sink behind JSONL trace export.
+///
+/// Each recording thread appends to its own shard (threads past
+/// `BUFFER_SHARDS` share them round-robin), so workers recording at
+/// once do not contend for one lock. Reads merge the shards in key
+/// order.
 #[derive(Debug, Default)]
 pub struct BufferSink {
-    events: Mutex<Vec<Event>>,
+    shards: [Shard<Vec<Event>>; BUFFER_SHARDS],
 }
 
 impl BufferSink {
@@ -317,15 +553,17 @@ impl BufferSink {
 
 impl EventSink for BufferSink {
     fn record(&self, event: Event) {
-        self.events.lock().expect("event buffer poisoned").push(event);
+        self.shards[shard_index(BUFFER_SHARDS)].lock().push(event);
     }
 
     fn events(&self) -> Vec<Event> {
-        self.events.lock().expect("event buffer poisoned").clone()
+        let mut all: Vec<Event> = self.shards.iter().flat_map(|s| s.lock().clone()).collect();
+        all.sort_by_key(|e| e.seq);
+        all
     }
 
     fn len(&self) -> usize {
-        self.events.lock().expect("event buffer poisoned").len()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     fn keeps_trajectories(&self) -> bool {
@@ -453,9 +691,77 @@ mod tests {
             ("client", Value::U64(7)),
             ("cause", Value::from(String::from("outage"))),
         ];
-        assert_eq!(&*grown, &expect[..], "a borrowed string equals an owned one");
+        let pairs: Vec<Field> = grown.iter().map(|(k, v)| (k, v.into_owned())).collect();
+        assert_eq!(pairs, expect, "a borrowed string equals an owned one");
         assert_eq!(format!("{grown:?}"), format!("{expect:?}"));
         assert_eq!(Fields::from(expect), grown);
+    }
+
+    static FALLBACK: Schema = Schema(&[
+        ("t0", Slot::F64),
+        ("attempts", Slot::Fixed(Value::U64(0))),
+        ("cause", Slot::Fixed(Value::Str(Cow::Borrowed("brownout")))),
+        ("client", Slot::U64),
+    ]);
+
+    #[test]
+    fn packed_fields_read_back_as_the_list_they_stand_for() {
+        let packed = Fields::packed(&FALLBACK, [2.5f64.into(), 7u64.into()]);
+        let list: Fields = vec![
+            ("t0", Value::F64(2.5)),
+            ("attempts", Value::U64(0)),
+            ("cause", "brownout".into()),
+            ("client", Value::U64(7)),
+        ]
+        .into();
+        assert_eq!(packed, list);
+        assert_eq!(format!("{packed:?}"), format!("{list:?}"));
+        assert_eq!(packed.len(), 4);
+        assert_eq!(packed.get("client").as_deref(), Some(&Value::U64(7)));
+        let e = |fields| Event { t_sim: 2.5, seq: 0, kind: "fault.fallback".into(), fields };
+        assert_eq!(e(packed.clone()).to_json(), e(list.clone()).to_json());
+
+        let mut grown = packed;
+        grown.push(("span", Value::Hex(1)));
+        let mut grown_list = list;
+        grown_list.push(("span", Value::Hex(1)));
+        assert_eq!(grown, grown_list);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fill")]
+    fn packed_fields_check_their_slot_types() {
+        let _ = Fields::packed(&FALLBACK, [7u64.into(), 7u64.into()]);
+    }
+
+    #[test]
+    fn exports_print_ranks_in_key_order() {
+        // Keys far apart, recorded out of order, two at one instant.
+        let mut events = vec![event(1.0, 9 << 60), event(0.5, 3 << 40), event(1.0, 5)];
+        sort_for_export(&mut events);
+        let got: Vec<(f64, u64)> = events.iter().map(|e| (e.t_sim, e.seq)).collect();
+        assert_eq!(got, vec![(0.5, 1), (1.0, 0), (1.0, 2)]);
+        let again = events.clone();
+        sort_for_export(&mut events);
+        assert_eq!(events, again, "ranking is idempotent");
+    }
+
+    #[test]
+    fn buffer_sink_merges_its_shards_in_key_order() {
+        let sink = std::sync::Arc::new(BufferSink::new());
+        std::thread::scope(|scope| {
+            for parity in 0..2u64 {
+                let sink = std::sync::Arc::clone(&sink);
+                scope.spawn(move || {
+                    for i in (parity..20).step_by(2) {
+                        sink.record(event(i as f64, i));
+                    }
+                });
+            }
+        });
+        let seqs: Vec<u64> = sink.events().iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (0..20).collect::<Vec<_>>());
+        assert_eq!(sink.len(), 20);
     }
 
     #[test]

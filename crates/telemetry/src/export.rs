@@ -115,8 +115,8 @@ fn rec_from_event(e: &Event) -> Rec {
     let mut trace = None;
     let mut args = String::from("{");
     for (i, (k, v)) in e.fields.iter().enumerate() {
-        if *k == "trace" {
-            match v {
+        if k == "trace" {
+            match &*v {
                 Value::Str(s) => trace = parse_hex(s),
                 Value::Hex(id) => trace = Some(*id),
                 _ => {}
@@ -125,7 +125,7 @@ fn rec_from_event(e: &Event) -> Rec {
         if i > 0 {
             args.push(',');
         }
-        let _ = write!(args, "{}:{}", json::escape(k), value_json(v));
+        let _ = write!(args, "{}:{}", json::escape(k), value_json(&v));
     }
     args.push('}');
     Rec { t: e.t_sim, seq: e.seq, kind: e.kind.to_string(), trace, args_json: args }
@@ -161,6 +161,10 @@ fn rec_from_json(obj: &Json) -> Rec {
 
 /// Chrome trace-event export of a recorded event list: load the result
 /// in Perfetto (or `chrome://tracing`) to browse span trees visually.
+/// Events are laid out in `(t, seq)` order, `seq` being a key (as
+/// [`crate::Telemetry::events`] returns them) or a rank in key order (as
+/// an export prints them): either gives the same bytes at any thread
+/// count.
 ///
 /// Layout: every causal trace becomes its own named track (`tid`), drawn
 /// as one complete (`"X"`) slice spanning the chain plus one instant

@@ -18,21 +18,28 @@
 //! shard: a worker locks only its own shard, and frees only events it
 //! built itself.
 //!
-//! Recording writes nothing that another shard's worker writes: each
-//! ring keeps its own last `N` events, and the recorder-wide window is
-//! cut only when it is read. A ring stores its events in chunks of
-//! `CHUNK` (64), recycled through one spare chunk, and drops its front
-//! chunk whole once the chunks behind it hold `N` events on their own.
-//! [`EventSink::events`] and the dump merge every shard's rings and keep,
-//! per severity, the `N` events with the highest `seq`, the recording
-//! order [`crate::Telemetry`] stamps on every event. Each shard holds at
-//! least its own last `N`, so the merge always finds the window, and
+//! Recording writes nothing that another shard's worker writes. The
+//! window is the `N` events with the highest keys per severity: an
+//! event's `seq` while recording is its task position
+//! ([`crate::events`] § Order), which needs no shared counter, and the
+//! window does not depend on which worker ran which task. Each ring
+//! keeps the `N` highest keys *it* has seen, in key order, in chunks of
+//! `CHUNK` (64) recycled through one spare chunk, and drops its lowest
+//! chunk whole once the chunks above it hold `N` events on their own.
+//! [`EventSink::events`] and the dump merge every shard's rings and
+//! keep, per severity, the `N` highest keys. Each shard holds at least
+//! its own top `N`, so the merge always finds the window, and
 //! [`FlightRecorderSink::len_by_severity`] is exactly
-//! `min(N, events stored)`. (When more than `SHARDS` threads record,
-//! some share a shard. A thread preempted between drawing its `seq` and
-//! recording then lands behind its neighbour's newer events, and the
-//! shard may drop one of its oldest in-window events early; the read
-//! still returns `N` events.)
+//! `min(N, events stored)`.
+//!
+//! A thread records its own tasks' steps in key order, so a ring
+//! almost always appends. An event below the ring's highest key (the
+//! thread moved on to a chunk of an earlier task, or threads beyond
+//! `SHARDS` share the shard) is inserted at its place, splitting a full
+//! chunk if need be, or is dropped at once when the ring already holds
+//! `N` higher keys. The final window is therefore the same at any
+//! thread count; what an auto-dump sees depends on how far each worker
+//! had got when the first trigger fired.
 //!
 //! Memory: every ring holds fewer than `N + CHUNK` events. A run that
 //! records from `k` shards holds up to `k × (N + CHUNK)` events per
@@ -41,9 +48,8 @@
 //!
 //! Recording an event costs one uncontended lock and a move into the
 //! chunk. It allocates nothing in steady state: the event's kind is a
-//! `'static` literal, a one-field event carries its field inline, and
-//! chunks are reused. The only shared write on the path is the
-//! telemetry sequence number; a trigger event also reads the dump
+//! `'static` literal, a one-field or packed event carries its fields
+//! inline, and chunks are reused. A trigger event also reads the dump
 //! budget.
 //!
 //! # What reaches the recorder
@@ -52,16 +58,15 @@
 //! (`false`): it receives every `fault.*`, `anomaly.*` and `trace.*`
 //! event and each `des.cycle_done` summary, but no per-event DES
 //! trajectory (`des.{arrival,transfer_done,process_done}`). Those
-//! records never trigger a dump and would only churn the info ring, and
-//! building them would force the DES off its O(m) replay. A recorded
-//! sweep therefore replays like an unrecorded one; what it still pays
-//! over `--no-flight` is building and storing the fault events the
-//! pre-pass emits.
+//! records never trigger a dump and would only churn the info ring. A
+//! recorded sweep therefore simulates exactly as an unrecorded one;
+//! what it adds is building and storing the fault events the pre-pass
+//! emits.
 
-use crate::events::{Event, EventSink};
+use crate::events::{export_jsonl, shard_index, Event, EventSink, Shard, ShardGuard};
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of recording shards. Threads beyond this share shards
@@ -117,50 +122,94 @@ pub fn is_trigger(kind: &str) -> bool {
     Severity::classify(kind) == Severity::Error
 }
 
-/// The shard the calling thread records into, fixed for its lifetime.
-fn shard_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-    }
-    SHARD.with(|s| *s)
-}
-
 /// Locks a mutex, shrugging off poisoning: a panicking writer leaves the
-/// stored events valid.
+/// dump log valid.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One severity's events within one shard, oldest chunk first, in the
-/// order the shard recorded them.
-#[derive(Debug, Default)]
+/// One severity's highest-keyed events within one shard, in key order:
+/// every event of a chunk keys at or below every event of the next.
+/// Chunks are never empty.
+#[derive(Debug)]
 struct Ring {
     chunks: VecDeque<Vec<Event>>,
     /// Events held across `chunks`.
     stored: usize,
+    /// `stored` at which the lowest chunk drops: the window plus the
+    /// lowest chunk's length, or never while there is one chunk.
+    limit: usize,
+    /// The highest key held.
+    top: u64,
     /// An emptied chunk kept for reuse, so a ring in steady state
     /// allocates no chunks.
     spare: Option<Vec<Event>>,
 }
 
+impl Default for Ring {
+    fn default() -> Self {
+        Ring { chunks: VecDeque::new(), stored: 0, limit: usize::MAX, top: 0, spare: None }
+    }
+}
+
 impl Ring {
-    /// Appends, then drops the front chunk once the chunks behind it
-    /// hold the last `n` events without it.
+    /// Takes `event` into the ring's top `n` keys, then drops the lowest
+    /// chunk once the chunks above it hold `n` events without it.
     fn push(&mut self, event: Event, n: usize) {
-        if self.chunks.back().is_none_or(|c| c.len() == CHUNK) {
-            let chunk = self.spare.take().unwrap_or_else(|| Vec::with_capacity(CHUNK));
-            self.chunks.push_back(chunk);
+        let key = event.seq;
+        if key < self.top {
+            if !self.insert(event, n) {
+                return;
+            }
+        } else {
+            self.top = key;
+            match self.chunks.back_mut() {
+                Some(back) if back.len() < CHUNK => back.push(event),
+                _ => {
+                    let mut chunk = self.spare.take().unwrap_or_else(|| Vec::with_capacity(CHUNK));
+                    chunk.push(event);
+                    self.chunks.push_back(chunk);
+                    self.relimit(n);
+                }
+            }
         }
-        self.chunks.back_mut().expect("back chunk exists").push(event);
         self.stored += 1;
-        let front = self.chunks.front().map_or(0, Vec::len);
-        if self.stored - front >= n {
-            let mut stale = self.chunks.pop_front().expect("front chunk exists");
+        while self.stored >= self.limit {
+            let mut stale = self.chunks.pop_front().expect("lowest chunk exists");
             self.stored -= stale.len();
             stale.clear();
             self.spare = Some(stale);
+            self.relimit(n);
         }
+    }
+
+    fn relimit(&mut self, n: usize) {
+        self.limit = match (self.chunks.len(), self.chunks.front()) {
+            (2.., Some(lowest)) => n + lowest.len(),
+            _ => usize::MAX,
+        };
+    }
+
+    /// Places an event that keys below the ring's highest; false when
+    /// the ring already holds `n` higher keys, so it is not kept.
+    fn insert(&mut self, event: Event, n: usize) -> bool {
+        let key = event.seq;
+        if self.stored >= n && key < self.chunks[0][0].seq {
+            return false;
+        }
+        let i = self.chunks.partition_point(|c| c[0].seq <= key).saturating_sub(1);
+        let at = self.chunks[i].partition_point(|e| e.seq <= key);
+        if self.chunks[i].len() < CHUNK {
+            self.chunks[i].insert(at, event);
+        } else {
+            let mut above = self.spare.take().unwrap_or_else(|| Vec::with_capacity(CHUNK));
+            above.extend(self.chunks[i].drain(at..));
+            let below = if above.is_empty() { &mut above } else { &mut self.chunks[i] };
+            below.push(event);
+            self.chunks.insert(i + 1, above);
+        }
+        self.relimit(n);
+        true
     }
 
     fn iter(&self) -> impl Iterator<Item = &Event> {
@@ -169,19 +218,13 @@ impl Ring {
 }
 
 #[derive(Debug, Default)]
-struct Shard {
+struct Rings {
     rings: [Ring; 3],
     /// Trigger events recorded through this shard.
     triggers: u64,
-    /// The highest-`seq` trigger recorded through this shard.
+    /// The highest-keyed trigger recorded through this shard.
     last_trigger: Option<(u64, Cow<'static, str>)>,
 }
-
-/// A value on cache lines of its own, so one worker's writes to it do
-/// not invalidate a neighbour's.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct CacheLine<T>(T);
 
 /// What the auto-dump has done so far.
 #[derive(Debug, Default)]
@@ -199,7 +242,7 @@ struct DumpLog {
 #[derive(Debug)]
 pub struct FlightRecorderSink {
     per_severity: usize,
-    shards: [CacheLine<Mutex<Shard>>; SHARDS],
+    shards: [Shard<Rings>; SHARDS],
     dump_path: Option<String>,
     max_dumps: u64,
     /// Dump slots taken: a trigger writes a post-mortem only while this
@@ -236,13 +279,13 @@ impl FlightRecorderSink {
         self
     }
 
-    fn lock_shards(&self) -> Vec<MutexGuard<'_, Shard>> {
-        self.shards.iter().map(|s| lock(&s.0)).collect()
+    fn lock_shards(&self) -> Vec<ShardGuard<'_, Rings>> {
+        self.shards.iter().map(Shard::lock).collect()
     }
 
     /// Number of trigger events observed so far.
     pub fn triggers_fired(&self) -> u64 {
-        self.shards.iter().map(|s| lock(&s.0).triggers).sum()
+        self.shards.iter().map(|s| s.lock().triggers).sum()
     }
 
     /// Number of post-mortem dumps written successfully so far. A write
@@ -263,8 +306,8 @@ impl FlightRecorderSink {
         lock(&self.dumps).error.as_ref().map(ToString::to_string)
     }
 
-    /// Kind of the most recent trigger event (highest `seq`), if any
-    /// fired.
+    /// Kind of the latest trigger event in key order (the highest key),
+    /// if any fired: the same at any thread count.
     pub fn last_trigger(&self) -> Option<String> {
         self.lock_shards()
             .iter()
@@ -300,17 +343,11 @@ impl FlightRecorderSink {
         (stored[0], stored[1], stored[2])
     }
 
-    /// The retained events rendered as a `(t, seq)`-sorted JSONL
-    /// post-mortem.
+    /// The retained events rendered as a JSONL post-mortem in export
+    /// order: `seq` is each event's rank in key order among the
+    /// retained events, and lines sort by `(t, seq)`.
     pub fn dump_jsonl(&self) -> String {
-        let mut events = self.events();
-        events.sort_by(|a, b| a.t_sim.total_cmp(&b.t_sim).then(a.seq.cmp(&b.seq)));
-        let mut out = String::new();
-        for e in &events {
-            e.write_json(&mut out);
-            out.push('\n');
-        }
-        out
+        export_jsonl(self.events())
     }
 
     /// Writes the post-mortem to `path`; returns the number of lines.
@@ -351,7 +388,7 @@ impl EventSink for FlightRecorderSink {
         let trigger = (severity == Severity::Error).then(|| (event.seq, event.kind.clone()));
         let severity = severity.index();
         {
-            let mut shard = lock(&self.shards[shard_index()].0);
+            let mut shard = self.shards[shard_index(SHARDS)].lock();
             shard.rings[severity].push(event, self.per_severity);
             if let Some((seq, kind)) = &trigger {
                 shard.triggers += 1;
@@ -368,7 +405,7 @@ impl EventSink for FlightRecorderSink {
     fn events(&self) -> Vec<Event> {
         // Every shard locked at once: a snapshot no writer can move
         // while it is taken. Per severity, the window is the `N`
-        // highest `seq` across the shards.
+        // highest keys across the shards.
         let shards = self.lock_shards();
         let mut all = Vec::new();
         for severity in 0..3 {
@@ -533,12 +570,15 @@ mod tests {
 
     #[test]
     fn last_trigger_is_the_latest_across_threads() {
+        // Recorded from three threads in the reverse of key order: the
+        // latest trigger is the highest key, not the last one recorded.
         let sink = Arc::new(FlightRecorderSink::new(4));
-        for (i, kind) in
-            ["fault.fallback", "anomaly.brownout", "des.arrival"].into_iter().enumerate()
-        {
+        let kinds = ["fault.fallback", "anomaly.brownout", "des.arrival"];
+        for (key, kind) in kinds.into_iter().enumerate().rev() {
             let sink = Arc::clone(&sink);
-            std::thread::spawn(move || sink.record(ev(i as f64, i as u64, kind))).join().unwrap();
+            std::thread::spawn(move || sink.record(ev(key as f64, key as u64, kind)))
+                .join()
+                .unwrap();
         }
         assert_eq!(sink.triggers_fired(), 2);
         assert_eq!(sink.last_trigger().as_deref(), Some("anomaly.brownout"));
@@ -580,9 +620,9 @@ mod tests {
     }
 
     #[test]
-    fn reads_merge_the_shards_and_cut_each_severity_by_seq() {
-        // Two threads, interleaved in `seq`, each storing all it wrote
-        // (fewer than a chunk): the read keeps the 4 highest `seq`.
+    fn reads_merge_the_shards_and_cut_each_severity_by_key() {
+        // Two threads, interleaved in key order, each storing all it
+        // wrote (fewer than a chunk): the read keeps the 4 highest keys.
         let sink = Arc::new(FlightRecorderSink::new(4));
         for parity in 0..2u64 {
             let sink = Arc::clone(&sink);
@@ -595,9 +635,45 @@ mod tests {
             .unwrap();
         }
         assert_eq!(sink.len_by_severity(), (0, 4, 0));
-        let seqs: Vec<u64> = sink.events().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![16, 17, 18, 19]);
+        let keys: Vec<u64> = sink.events().iter().map(|e| e.seq).collect();
+        assert_eq!(keys, vec![16, 17, 18, 19]);
         assert_eq!(sink.stored_by_severity(), (0, 20, 0), "each shard still holds its chunk");
+    }
+
+    #[test]
+    fn a_ring_keeps_its_highest_keys_whatever_order_they_arrive_in() {
+        // One thread, keys in a scrambled order with repeats: the ring
+        // inserts below its top, splits full chunks, drops what falls
+        // under `n` higher keys, and stays under `n + CHUNK` events.
+        let n = 150;
+        let sink = FlightRecorderSink::new(n);
+        let keys: Vec<u64> = (0..2_000u64).map(|i| (i * 7919) % 1_009).collect();
+        for &key in &keys {
+            sink.record(ev(key as f64, key, "fault.retry"));
+            assert!(sink.stored_by_severity().1 < n + CHUNK);
+        }
+        let mut want = keys.clone();
+        want.sort_unstable();
+        let got: Vec<u64> = sink.events().iter().map(|e| e.seq).collect();
+        assert_eq!(got, want[want.len() - n..]);
+    }
+
+    #[test]
+    fn the_dump_prints_ranks_in_key_order() {
+        let sink = FlightRecorderSink::new(8);
+        sink.record(ev(2.0, 1 << 62, "fault.retry"));
+        sink.record(ev(2.0, 1 << 40, "fault.fallback"));
+        sink.record(ev(1.0, 1 << 63, "des.cycle_done"));
+        let lines: Vec<(f64, f64)> = sink
+            .dump_jsonl()
+            .lines()
+            .map(|l| {
+                let v = crate::json::parse(l).unwrap();
+                let num = |k| v.get(k).and_then(crate::json::Json::as_f64).unwrap();
+                (num("t"), num("seq"))
+            })
+            .collect();
+        assert_eq!(lines, vec![(1.0, 2.0), (2.0, 0.0), (2.0, 1.0)]);
     }
 
     #[test]

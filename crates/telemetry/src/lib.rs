@@ -17,7 +17,9 @@
 //!   with three sinks: an in-memory buffer exported as JSONL
 //!   ([`events::BufferSink`]), a bounded ring buffer
 //!   ([`events::RingBufferSink`]) and a no-op sink
-//!   ([`events::NoopSink`]).
+//!   ([`events::NoopSink`]). Events are ordered by where they happen in
+//!   the tree of parallel tasks, not by when ([`events`] § Order), so a
+//!   trace is the same at any thread count.
 //!
 //! The entry point is [`Telemetry`], a cheaply clonable handle that is
 //! either *enabled* (carries a registry and a sink) or *disabled* (a
@@ -26,9 +28,10 @@
 //! atomic traffic, so instrumented code paths stay bit- and
 //! performance-identical to uninstrumented ones.
 //!
-//! The crate deliberately has **zero dependencies** — no serde, no
-//! tracing, not even the workspace's own `pb-units` — so it can sit below
-//! every other crate without cycles.
+//! The crate's only dependency is the workspace's rayon shim, whose
+//! task positions key recorded events — no serde, no tracing, not even
+//! the workspace's own `pb-units` — so it can sit below every other
+//! crate without cycles.
 //!
 //! # Example
 //!
@@ -57,7 +60,9 @@ pub mod snapshot;
 pub mod span;
 pub mod trace;
 
-pub use events::{BufferSink, Event, EventSink, Fields, NoopSink, RingBufferSink, Value};
+pub use events::{
+    BufferSink, Event, EventSink, Fields, NoopSink, RingBufferSink, Schema, Slot, Value,
+};
 pub use flight::FlightRecorderSink;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry};
 pub use snapshot::TelemetrySnapshot;
@@ -65,14 +70,15 @@ pub use span::Span;
 pub use trace::{Forensics, SpanCtx};
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+/// What an enabled handle shares. Nothing here is written per event:
+/// an event's key comes from the recording thread's own task position.
 #[derive(Debug)]
 struct Inner {
     registry: MetricsRegistry,
     sink: Box<dyn EventSink>,
-    seq: AtomicU64,
     tracing: AtomicBool,
     /// `sink.is_recording()`, fixed for the sink's lifetime and read
     /// once here instead of through the vtable on every event.
@@ -125,7 +131,6 @@ impl Telemetry {
             inner: Some(Arc::new(Inner {
                 registry: MetricsRegistry::new(),
                 sink,
-                seq: AtomicU64::new(0),
                 tracing: AtomicBool::new(false),
                 recording,
                 trajectories,
@@ -219,12 +224,15 @@ impl Telemetry {
     /// Appends a sim-time-stamped event to the sink (no-op when disabled
     /// or when the sink drops events). `t_sim` is simulation time in
     /// seconds; the fields become the JSONL record's extra keys. Pass an
-    /// array (`[("attempt", 1u64.into())]`) or a `Vec`: an event of at
-    /// most one field is built without touching the heap ([`Fields`]).
+    /// array (`[("attempt", 1u64.into())]`), a `Vec` or a
+    /// [`Fields::packed`] record: an event of at most one field, or a
+    /// packed one, is built without touching the heap ([`Fields`]). The
+    /// event's `seq` is its key: the calling task's next step
+    /// ([`rayon::pool::next_key`]).
     pub fn event(&self, t_sim: f64, kind: &'static str, fields: impl Into<Fields>) {
         if let Some(inner) = &self.inner {
             if inner.recording {
-                let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
+                let seq = rayon::pool::next_key();
                 let kind = Cow::Borrowed(kind);
                 inner.sink.record(Event { t_sim, seq, kind, fields: fields.into() });
             }
@@ -255,41 +263,33 @@ impl Telemetry {
         }
     }
 
-    /// Every retained event, in recording order (unsorted).
+    /// Every retained event as the sink returns it
+    /// ([`EventSink::events`]): `seq` holds each event's key.
     pub fn events(&self) -> Vec<Event> {
         self.inner.as_ref().map_or_else(Vec::new, |i| i.sink.events())
     }
 
-    /// Every retained event sorted by `(t_sim, seq)` — the order traces
-    /// are exported in, guaranteeing monotone non-decreasing timestamps
-    /// even when events were recorded from parallel workers.
+    /// Every retained event in export order: `seq` is the event's rank
+    /// in key order, and events sort by `(t_sim, seq)`
+    /// ([`events::sort_for_export`]). Timestamps are monotone
+    /// non-decreasing, and the list is the same at any thread count.
     pub fn events_sorted(&self) -> Vec<Event> {
         let mut events = self.events();
-        events.sort_by(|a, b| a.t_sim.total_cmp(&b.t_sim).then(a.seq.cmp(&b.seq)));
+        events::sort_for_export(&mut events);
         events
     }
 
-    /// Renders the retained events as line-delimited JSON, sorted by sim
-    /// time (one [`Event::to_json`] object per line).
+    /// Renders the retained events as line-delimited JSON in export
+    /// order (one [`Event::to_json`] object per line).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in self.events_sorted() {
-            e.write_json(&mut out);
-            out.push('\n');
-        }
-        out
+        events::export_jsonl(self.events())
     }
 
     /// Writes the JSONL trace to `path`; returns the number of lines.
     pub fn write_trace(&self, path: &str) -> std::io::Result<usize> {
-        let events = self.events_sorted();
-        let mut out = String::new();
-        for e in &events {
-            e.write_json(&mut out);
-            out.push('\n');
-        }
-        std::fs::write(path, out)?;
-        Ok(events.len())
+        let jsonl = self.to_jsonl();
+        std::fs::write(path, &jsonl)?;
+        Ok(jsonl.lines().count())
     }
 
     /// A frozen, sorted view of every metric (empty when disabled).

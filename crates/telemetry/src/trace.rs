@@ -152,7 +152,8 @@ impl SpanCtx {
 pub struct Hop {
     /// Simulation time of the hop.
     pub t: f64,
-    /// Global recording sequence number (tie-break within equal times).
+    /// The event's `seq` in the trace: its rank in task order, the
+    /// tie-break within equal times.
     pub seq: u64,
     /// Event kind (`trace.sample`, `fault.retry`, `trace.delivered`, …).
     pub kind: String,

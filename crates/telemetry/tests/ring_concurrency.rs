@@ -32,8 +32,8 @@ fn event(writer: usize, index: usize) -> Event {
 }
 
 fn field(e: &Event, key: &str) -> usize {
-    match e.fields.iter().find(|(k, _)| *k == key) {
-        Some((_, Value::U64(v))) => *v as usize,
+    match e.fields.get(key).as_deref() {
+        Some(Value::U64(v)) => *v as usize,
         other => panic!("missing field {key}: {other:?}"),
     }
 }

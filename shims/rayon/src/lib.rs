@@ -914,4 +914,40 @@ mod tests {
         let utilization_total: u64 = after.worker_utilization.iter().sum();
         assert!(utilization_total >= after.jobs, "every pooled job lands in one bucket");
     }
+
+    /// Steps taken across nested parallel operations (a `for_each` whose
+    /// tasks `join` and `scope`-spawn), labelled in program order.
+    fn keyed_steps() -> Vec<(u64, String)> {
+        let steps = Mutex::new(Vec::new());
+        let step = |label: String| steps.lock().unwrap().push((pool::next_key(), label));
+        step("before".into());
+        (0..5usize).into_par_iter().for_each(|t| {
+            step(format!("{t} head"));
+            join(|| step(format!("{t} left")), || step(format!("{t} right")));
+            scope(|s| {
+                for u in 0..3 {
+                    let step = &step;
+                    s.spawn(move |_| step(format!("{t} spawn {u}")));
+                }
+            });
+            (0..70usize).into_par_iter().for_each(|i| step(format!("{t} inner {i}")));
+            step(format!("{t} tail"));
+        });
+        step("after".into());
+        steps.into_inner().unwrap()
+    }
+
+    #[test]
+    fn keys_order_steps_as_they_run_at_thread_cap_one() {
+        let _pool = init_pool();
+        let serial = pool::with_thread_cap(1, keyed_steps);
+        assert!(serial.windows(2).all(|w| w[0].0 < w[1].0), "keys increase in program order");
+        for _ in 0..20 {
+            let mut pooled = keyed_steps();
+            pooled.sort_by_key(|(key, _)| *key);
+            assert!(pooled.windows(2).all(|w| w[0].0 < w[1].0), "no two steps share a key");
+            let order = |v: &[(u64, String)]| v.iter().map(|(_, l)| l.clone()).collect::<Vec<_>>();
+            assert_eq!(order(&pooled), order(&serial));
+        }
+    }
 }

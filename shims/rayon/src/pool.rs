@@ -27,12 +27,101 @@
 //!   just executes chunks. Combined with order-preserving collection
 //!   and in-order partial reduction, every result is bit-identical at
 //!   any thread count.
+//!
+//! # Task positions
+//!
+//! Every thread carries its place in the tree of parallel operations
+//! (Dewey order): the path of `(step, chunk index)` pairs that led to
+//! the running chunk, plus a step counter for the chunk itself. Each
+//! parallel operation takes one step of the task that submits it, and
+//! each of its chunks runs as a fresh task below that step, on
+//! whichever thread claims it. [`next_key`] takes a step and returns
+//! its position as one `u64`, so the order of two keys is the order of
+//! their steps at thread cap 1 (chunks run inline, in index order),
+//! whichever threads took them. pb-telemetry orders its events by it.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+
+/// A task's position: the left-aligned bit string of its path and the
+/// number of steps it has taken.
+///
+/// A path is a sequence of step numbers and chunk indices. A step `s`
+/// is written in an order-preserving, self-delimiting code: the bit
+/// length `L` of `s + 1` in an Elias-gamma code whose unary part is
+/// ones, then the low `L - 1` bits of `s + 1` (1 bit for step 0, 31
+/// for step 2²²). A chunk index is written in the fixed width of its
+/// operation's largest index (none for a single chunk): only the
+/// chunks of one operation are ever compared at that place. Bits past
+/// the 64th are dropped, so a path too deep or too long to fit ties
+/// with its neighbours instead of misordering them.
+#[derive(Clone, Copy, Debug)]
+struct Place {
+    /// The task's path, left-aligned, and its length in bits.
+    path: u64,
+    bits: u32,
+    /// Steps taken so far.
+    steps: u64,
+    /// The next step's key (`path` extended by the code of `steps`) and
+    /// its length in bits.
+    key: u64,
+    key_bits: u32,
+    /// What one more step adds to `key` while the code keeps its
+    /// length; 0 when the code is cut at the 64th bit.
+    unit: u64,
+}
+
+/// `path` (`bits` long) extended by the `width` low bits of `code`,
+/// cut at 64 bits.
+fn extend(path: u64, bits: u32, code: u128, width: u32) -> (u64, u32) {
+    let free = 64 - bits;
+    let (code, width) = if width <= free { (code, width) } else { (code >> (width - free), free) };
+    if width == 0 {
+        return (path, bits);
+    }
+    (path | ((code as u64) << (free - width)), bits + width)
+}
+
+impl Place {
+    const ROOT: Place = Place::task((0, 0));
+
+    /// A task at `(path, bits)` that has taken no step. Step 0's code is
+    /// the single bit 0, and step 1's is longer, so `unit` is 0.
+    const fn task((path, bits): (u64, u32)) -> Place {
+        let key_bits = if bits < 64 { bits + 1 } else { 64 };
+        Place { path, bits, steps: 0, key: path, key_bits, unit: 0 }
+    }
+
+    /// Sets `key`, `key_bits` and `unit` for the current `steps`.
+    fn encode(&mut self) {
+        let v = u128::from(self.steps) + 1;
+        let len = 128 - v.leading_zeros();
+        let m = 32 - len.leading_zeros();
+        let gamma = (((1u128 << (m - 1)) - 1) << m) | (u128::from(len) & ((1 << (m - 1)) - 1));
+        let width = 2 * m - 1 + len - 1;
+        let code = (gamma << (len - 1)) | (v & ((1 << (len - 1)) - 1));
+        (self.key, self.key_bits) = extend(self.path, self.bits, code, width);
+        self.unit = if self.bits + width <= 64 { 1 << (64 - self.bits - width) } else { 0 };
+    }
+
+    /// Takes the next step: returns its key and the key's length.
+    #[inline]
+    fn step(&mut self) -> (u64, u32) {
+        let taken = (self.key, self.key_bits);
+        self.steps += 1;
+        // The code grows a bit each time `steps + 1` reaches a power of
+        // two; until then the next key is one mantissa unit higher.
+        if self.unit != 0 && !(self.steps + 1).is_power_of_two() {
+            self.key += self.unit;
+        } else {
+            self.encode();
+        }
+        taken
+    }
+}
 
 /// One queued parallel operation: `n_chunks` tasks claimed from a shared
 /// atomic cursor by at most `cap` threads (submitter included).
@@ -43,6 +132,9 @@ struct Job {
     /// claim a chunk.
     task: &'static (dyn Fn(usize) + Sync),
     n_chunks: usize,
+    /// The submitting task's step this operation took, as a path and
+    /// its length; its chunks run below it.
+    place: (u64, u32),
     /// Next chunk to claim; claims at/after `n_chunks` mean "exhausted".
     cursor: AtomicUsize,
     /// Chunks fully executed; the job is done at `n_chunks`.
@@ -97,6 +189,50 @@ thread_local! {
     static WORKER_ID: Cell<Option<usize>> = const { Cell::new(None) };
     /// Per-thread engagement cap installed by [`with_thread_cap`].
     static THREAD_CAP: Cell<usize> = const { Cell::new(usize::MAX) };
+    /// The running task's position (see the module docs).
+    static PLACE: Cell<Place> = const { Cell::new(Place::ROOT) };
+}
+
+/// Takes the calling task's next step and returns its position in
+/// Dewey order, left-aligned in a `u64` (see the module docs).
+///
+/// Keys of one task increase with each call. Across tasks, they order
+/// as the steps would run at thread cap 1. Threads outside the pool
+/// each start from the same root, so their keys compare only with keys
+/// taken below the same root. Writes only the calling thread's state.
+#[inline]
+pub fn next_key() -> u64 {
+    take_step().0
+}
+
+/// Takes the calling task's next step; returns its key and length.
+#[inline]
+fn take_step() -> (u64, u32) {
+    PLACE.with(|p| {
+        let mut place = p.get();
+        let step = place.step();
+        p.set(place);
+        step
+    })
+}
+
+/// Runs chunk `c` of an operation whose step is `place`, with chunks
+/// indexed in `width` bits, as a task at its own position.
+fn run_chunk(task: &(dyn Fn(usize) + Sync), c: usize, (path, bits): (u64, u32), width: u32) {
+    struct Restore(Place);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            PLACE.with(|p| p.set(self.0));
+        }
+    }
+    let chunk = Place::task(extend(path, bits, c as u128, width));
+    let _restore = Restore(PLACE.with(|p| p.replace(chunk)));
+    task(c);
+}
+
+/// Bits needed for the chunk indices of an `n_chunks`-chunk operation.
+fn index_width(n_chunks: usize) -> u32 {
+    usize::BITS - (n_chunks - 1).leading_zeros()
 }
 
 /// The configured parallelism: `RAYON_NUM_THREADS` when set to a
@@ -224,7 +360,9 @@ fn work_on(job: &Job, worker: Option<usize>) {
             break;
         }
         if !job.poisoned.load(Ordering::Relaxed) {
-            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| (job.task)(c))) {
+            let width = index_width(job.n_chunks);
+            let run = || run_chunk(job.task, c, job.place, width);
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(run)) {
                 job.poisoned.store(true, Ordering::Relaxed);
                 let mut slot = job.panic.lock().expect("rayon shim: panic slot poisoned");
                 if slot.is_none() {
@@ -243,7 +381,8 @@ fn work_on(job: &Job, worker: Option<usize>) {
     }
 }
 
-/// Executes `task(c)` exactly once for every `c in 0..n_chunks`,
+/// Executes `task(c)` exactly once for every `c in 0..n_chunks`, each
+/// as a task below one step of the caller's (see [`next_key`]),
 /// blocking until all chunks completed; panics in chunks are re-thrown
 /// here. Runs inline (sequentially, same chunk order) when the
 /// effective parallelism is 1, when there is a single chunk, or when
@@ -253,10 +392,12 @@ pub(crate) fn run_chunks(n_chunks: usize, task: &(dyn Fn(usize) + Sync)) {
     if n_chunks == 0 {
         return;
     }
+    let place = take_step();
     let cap = THREAD_CAP.with(|c| c.get()).min(current_num_threads());
     if n_chunks == 1 || cap <= 1 || is_worker_thread() {
+        let width = index_width(n_chunks);
         for c in 0..n_chunks {
-            task(c);
+            run_chunk(task, c, place, width);
         }
         STATS.tasks.fetch_add(n_chunks as u64, Ordering::Relaxed);
         return;
@@ -271,6 +412,7 @@ pub(crate) fn run_chunks(n_chunks: usize, task: &(dyn Fn(usize) + Sync)) {
     let job = Arc::new(Job {
         task,
         n_chunks,
+        place,
         cursor: AtomicUsize::new(0),
         completed: AtomicUsize::new(0),
         cap,
@@ -319,5 +461,52 @@ pub(crate) fn run_chunks(n_chunks: usize, task: &(dyn Fn(usize) + Sync)) {
     let payload = job.panic.lock().expect("rayon shim: panic slot poisoned").take();
     if let Some(payload) = payload {
         panic::resume_unwind(payload);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The key of step `s` of the task at `(path, bits)`, computed from
+    /// scratch.
+    fn key_of(path: u64, bits: u32, s: u64) -> u64 {
+        let mut place = Place::task((path, bits));
+        place.steps = s;
+        place.encode();
+        place.key
+    }
+
+    #[test]
+    fn incremental_keys_equal_keys_computed_from_scratch() {
+        for (path, bits) in [(0, 0), (0b101 << 61, 3), (u64::MAX << 20, 44), (u64::MAX << 4, 60)] {
+            let mut place = Place::task((path, bits));
+            let mut last = None;
+            for s in 0..70_000u64 {
+                let (key, key_bits) = place.step();
+                assert_eq!(key, key_of(path, bits, s), "step {s} below {bits} bits");
+                assert!(key_bits <= 64);
+                if key_bits < 64 {
+                    assert!(last.is_none_or(|l| l < key), "keys increase at step {s}");
+                } else {
+                    assert!(last.is_none_or(|l| l <= key), "cut keys never decrease at step {s}");
+                }
+                last = Some(key);
+            }
+        }
+    }
+
+    #[test]
+    fn step_codes_are_the_documented_lengths() {
+        let len = |s: u64| {
+            let mut place = Place::task((0, 0));
+            place.steps = s;
+            place.encode();
+            place.key_bits
+        };
+        assert_eq!(len(0), 1);
+        assert_eq!(len(1), 4);
+        assert_eq!(len(6), 5);
+        assert_eq!(len((1 << 22) - 1), 31);
     }
 }

@@ -96,7 +96,7 @@ fn usage() {
     println!("  sweep [--backend B] [--cap N] [--from N] [--to N] [--step N]");
     println!("        [--service svm|cnn|cnn-int8] [--losses] [--seed S]");
     println!("        [--metrics] [--trace FILE] [--faults SPEC] [--causal]");
-    println!("        [--flight FILE | --no-flight] [--chrome FILE] [--openmetrics FILE]");
+    println!("        [--flight FILE] [--chrome FILE] [--openmetrics FILE]");
     println!("                                  Fig. 7 population sweep; --metrics");
     println!("                                  prints the telemetry table, --trace");
     println!("                                  writes a JSONL simulation event log");
@@ -109,10 +109,9 @@ fn usage() {
     println!("                                  (one trace per client service cycle);");
     println!("                                  --faults without --trace records into a");
     println!("                                  bounded flight recorder that dumps FILE");
-    println!("                                  (default pb-flight.jsonl) on anomalies;");
-    println!("                                  --no-flight opts out (skips recording");
-    println!("                                  the fault events; the DES replays either");
-    println!("                                  way, the recorder takes no trajectories);");
+    println!("                                  (default pb-flight.jsonl) on anomalies");
+    println!("                                  (it takes no DES trajectories, so the");
+    println!("                                  DES replays as it does unrecorded);");
     println!("                                  --chrome exports a Perfetto-loadable");
     println!("                                  span view, --openmetrics the metrics");
     println!("  trace FILE [--top K] [--chrome FILE]");
@@ -276,12 +275,13 @@ fn sweep(flags: &HashMap<String, String>) {
     // sweeps without an explicit trace default to the bounded flight
     // recorder, which auto-dumps a post-mortem JSONL on anomalies
     // (brown-out, retry exhaustion, conservation mismatch). The
-    // recorder shards per worker, so it does not serialise the pool,
-    // and it keeps no per-event DES trajectories, so the DES stays on
-    // its shape-memoized replay. Its remaining cost is building and
-    // storing the fault events; `--no-flight` skips only that.
+    // recorder shards per worker and orders events by task position,
+    // so it shares no per-event write between workers, and it keeps no
+    // per-event DES trajectories, so the DES stays on its
+    // shape-memoized replay. Its remaining cost is building and storing
+    // the fault events.
     let wants_events = trace_path.is_some() || chrome_path.is_some();
-    let flight = if !fault_plan.is_none() && !wants_events && !flags.contains_key("no-flight") {
+    let flight = if !fault_plan.is_none() && !wants_events {
         Some(std::sync::Arc::new(
             FlightRecorderSink::new(4096).with_auto_dump(flight_path.clone(), 1),
         ))

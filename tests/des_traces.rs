@@ -1,8 +1,8 @@
 //! Byte-level pins of the DES trace exports.
 //!
-//! Every case evaluates one DES sweep point on a single worker (so the
-//! telemetry's global `seq` numbers events in one deterministic order)
-//! and digests the two trace exports: the `(t, seq)`-sorted JSONL and
+//! Every case evaluates one DES sweep point on a single worker (thread
+//! cap 1; `tests/trace_determinism.rs` shows other caps export the same
+//! bytes) and digests the two trace exports: the `(t, seq)`-sorted JSONL and
 //! the Chrome/Perfetto rendering of the same events. JSONL carries
 //! `seq`, so its digest pins the emission order of every event as well
 //! as its content; the Chrome digest pins the span layout of tagged
