@@ -23,7 +23,6 @@
 pub mod adaptive;
 pub mod alert;
 pub mod apiary;
-pub mod apiary_deployment;
 pub mod baseline;
 pub mod cascade;
 pub mod climate;
@@ -36,7 +35,6 @@ pub mod tuner;
 pub use adaptive::{run_adaptive, AdaptivePolicy, AdaptiveRunSummary, Decision};
 pub use alert::AlertPolicy;
 pub use apiary::{Apiary, ScenarioRecommendation};
-pub use apiary_deployment::{simulate_apiary, ApiaryDeploymentConfig, ApiaryDeploymentReport};
 pub use baseline::PipingDetector;
 pub use cascade::CascadePlacement;
 pub use climate::{AmbientWeather, HiveClimate};

@@ -213,7 +213,7 @@ pub struct DesFaults<'a> {
 /// from their own stream, so the arrival stream is the same with and
 /// without faults, bit for bit.
 ///
-/// The queueing model is the shape-memoized replay ([`replay_core`]),
+/// The queueing model is the shape-memoized replay (`replay_core`),
 /// which also emits the per-event trajectory records when a sink keeps
 /// them or the run is tagged.
 ///

@@ -11,32 +11,23 @@
 //! * [`constants`] — every calibrated number with its provenance,
 //! * [`profile`] — edge-device and cloud-server power profiles,
 //! * [`sensors`] — the sensor suite and the byte volumes it produces,
-//! * [`network`] — the Wi-Fi transfer model with throughput jitter,
 //! * [`compute`] — MAC-count → (duration, energy) execution models,
 //! * [`routine`] — the data-collection routine builder and the wake-up
 //!   frequency analysis behind Figure 3,
 //! * [`wake`] — the GPIO wake-up scheduler of the Pi Zero.
 
-pub mod budget;
 pub mod catalog;
 pub mod compute;
 pub mod constants;
-pub mod contention;
-pub mod network;
 pub mod profile;
 pub mod routine;
 pub mod sensors;
-pub mod storage;
 pub mod wake;
 
-pub use budget::{deployed_budget, BudgetShape, DailyBudget};
 pub use catalog::{rank_hardware, HardwareOption};
 pub use compute::{ComputeModel, Execution};
-pub use contention::CsmaChannel;
-pub use network::WifiLink;
-pub use pb_energy::meter::gaussian;
+pub use pb_energy::gaussian;
 pub use profile::{CloudServerProfile, EdgeDeviceProfile};
 pub use routine::{CyclePlan, RoutineBuilder, Task};
 pub use sensors::{SensorKind, SensorSuite};
-pub use storage::LocalStorage;
 pub use wake::WakeScheduler;

@@ -3,7 +3,7 @@
 //! The deployed hive collects, per routine: three simultaneous 10-second
 //! audio samples from USB microphones (20 Hz–16 kHz), five 800×600 images
 //! spread over five seconds, one temperature/humidity reading (SHT31) and a
-//! gas reading. These sizes drive the network-transfer model.
+//! gas reading.
 
 use pb_units::Seconds;
 

@@ -5,12 +5,11 @@
 //! The deployed system in the paper is powered by a 30 W solar panel feeding
 //! a 20 000 mAh power bank through a 5 V DC/DC converter, and is metered by
 //! three ±5 A current sensors sampled by an always-on Raspberry Pi Zero.
-//! This crate models that whole power path from first principles:
+//! The simulator takes the per-task constants those sensors measured (see
+//! `pb_device::constants`); this crate models the power path around them:
 //!
 //! * [`state`] — power-state machines (off / boot / active / sleep /
 //!   shutdown) with per-state draw,
-//! * [`meter`] — the current-sensor + sampling model and trapezoidal energy
-//!   integration,
 //! * [`trace`] — power time-series, routine segmentation and the statistics
 //!   the paper reports (mean routine power 2.14 W, σ = 0.009 W, …),
 //! * [`battery`] — state-of-charge model with charge/discharge efficiency,
@@ -21,21 +20,15 @@
 //!   tables.
 
 pub mod battery;
-pub mod columns;
-pub mod forecast;
 pub mod harvest;
 pub mod ledger;
-pub mod meter;
 pub mod solar;
 pub mod state;
 pub mod trace;
 
 pub use battery::Battery;
-pub use columns::BatteryBank;
-pub use forecast::{daily_budget, Ar1Forecaster, EwmaForecaster};
 pub use harvest::{HarvestStep, PowerSystem, PowerSystemConfig};
 pub use ledger::{EnergyLedger, LedgerEntry};
-pub use meter::{CurrentSensor, EnergyMeter};
 pub use solar::{DcDcConverter, Irradiance, SolarPanel};
 pub use state::{PowerState, StateMachine, Transition};
 pub use trace::{PowerTrace, RoutineStats, Segment};
@@ -60,9 +53,22 @@ pub fn metric_slug(label: &str) -> String {
     out
 }
 
+/// Standard normal sample via Box–Muller (avoids a `rand_distr` dependency).
+pub fn gaussian<R: rand::Rng + ?Sized>(rng: &mut R) -> f64 {
+    loop {
+        let u1: f64 = rng.gen::<f64>();
+        let u2: f64 = rng.gen::<f64>();
+        if u1 > f64::MIN_POSITIVE {
+            return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+        }
+    }
+}
+
 #[cfg(test)]
-mod slug_tests {
-    use super::metric_slug;
+mod tests {
+    use super::{gaussian, metric_slug};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn slugs_collapse_and_lowercase() {
@@ -70,5 +76,16 @@ mod slug_tests {
         assert_eq!(metric_slug("wake+collect"), "wake_collect");
         assert_eq!(metric_slug("Sleep"), "sleep");
         assert_eq!(metric_slug("  -- "), "");
+    }
+
+    #[test]
+    fn gaussian_moments() {
+        let mut rng = StdRng::seed_from_u64(42);
+        let n = 100_000;
+        let xs: Vec<f64> = (0..n).map(|_| gaussian(&mut rng)).collect();
+        let mean = xs.iter().sum::<f64>() / n as f64;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
+        assert!(mean.abs() < 0.02, "mean {mean}");
+        assert!((var - 1.0).abs() < 0.03, "var {var}");
     }
 }

@@ -7,7 +7,7 @@
 //! diurnal sinusoid with a seasonal daylight window and multiplicative
 //! cloud noise — enough to reproduce those dynamics without a weather feed.
 
-use crate::meter::gaussian;
+use crate::gaussian;
 use pb_units::{Seconds, TimeOfDay, Watts};
 use rand::Rng;
 

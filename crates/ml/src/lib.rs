@@ -14,33 +14,23 @@
 //! * [`svm`] — binary RBF-SVM trained with SMO,
 //! * [`nn`] — convolutional layers with full backpropagation and a
 //!   residual CNN ("ResNet-lite": the same block structure as ResNet18
-//!   with depth/width scaled to the synthetic task),
-//! * [`flops`] — multiply-accumulate counting used by the device layer to
-//!   convert model executions into joules.
+//!   with depth/width scaled to the synthetic task).
 
-pub mod augment;
 pub mod dataset;
-pub mod flops;
 pub mod init;
 pub mod metrics;
-pub mod model_selection;
 pub mod nn;
 pub mod quant;
-pub mod roc;
 pub mod svm;
 pub mod tensor;
 
-pub use augment::Augment;
 pub use dataset::{Dataset, Split};
-pub use flops::FlopCount;
 pub use metrics::{accuracy, confusion_matrix, ConfusionMatrix};
-pub use model_selection::{cross_validate_svm, grid_search_svm, kfold_indices, GridPoint};
 pub use nn::resnet::{ResNetConfig, ResNetLite};
 pub use nn::train::{TrainConfig, TrainReport};
 pub use quant::{
     quantize_resnet, quantize_tensor, ModelQuantReport, QuantParams, QuantScratch, QuantizedConv2d,
     QuantizedDense, QuantizedResNetLite,
 };
-pub use roc::{auc, auc_from_scores, best_threshold, roc_curve, RocPoint};
 pub use svm::{RbfSvm, SvmConfig};
 pub use tensor::FeatureMap;

@@ -22,31 +22,25 @@
 pub mod audio;
 pub mod complex;
 pub mod corpus;
-pub mod features;
 pub mod fft;
 pub mod goertzel;
 pub mod image;
 pub mod mel;
 pub mod mfcc;
 pub mod pipeline;
-pub mod resample;
 pub mod stft;
-pub mod streaming;
 pub mod wav;
 pub mod window;
 
 pub use audio::{BeeAudioSynth, ColonyState};
 pub use complex::Complex;
 pub use corpus::{Corpus, CorpusConfig, LabeledClip};
-pub use features::clip_summary;
 pub use goertzel::{band_power, goertzel_power};
 pub use image::Image;
 pub use mel::{MelFilterbank, MelSpectrogram};
 pub use mfcc::Mfcc;
 pub use pipeline::MelPipeline;
-pub use resample::resample_linear;
 pub use stft::{SpectrogramParams, Stft};
-pub use streaming::StreamingStft;
 pub use wav::WavFile;
 pub use window::WindowKind;
 

@@ -15,13 +15,11 @@
 //!
 //! Every power cell is `re·re + im·im` of a transform that is
 //! bit-identical to the textbook interleaved FFT (see [`crate::fft`]), so
-//! a streamed row, a [`Spectrogram`] row and a [`StreamingStft`] frame
-//! of the same samples agree bit for bit.
+//! a streamed row and a [`Spectrogram`] row of the same samples agree
+//! bit for bit.
 //! On a 2-vCPU Xeon guest one 2048-sample frame (window, transform,
 //! power) costs about 5.5 µs in the host's fast phase, 4.5 µs of it the
 //! transform.
-//!
-//! [`StreamingStft`]: crate::streaming::StreamingStft
 
 use crate::complex::Complex;
 use crate::fft::Fft;
@@ -166,7 +164,7 @@ impl Stft {
 
     /// Power spectrum |X_k|² of one `n_fft`-sample frame, computed in
     /// (and borrowed from) `s`.
-    pub(crate) fn frame_power<'s>(&self, frame: &[f64], s: &'s mut FrameScratch) -> &'s [f64] {
+    fn frame_power<'s>(&self, frame: &[f64], s: &'s mut FrameScratch) -> &'s [f64] {
         assert_eq!(frame.len(), self.params.n_fft, "frame length must equal n_fft");
         self.frame_spectrum(frame, s);
         for (p, (&r, &i)) in s.power.iter_mut().zip(s.re.iter().zip(&s.im)) {
@@ -216,8 +214,7 @@ impl Stft {
 /// Reusable buffers for one frame's window → FFT → |X|² pass: the
 /// windowed samples, the split real/imaginary half-spectrum (also the
 /// transform's working columns) and the power row.
-#[derive(Clone, Debug)]
-pub(crate) struct FrameScratch {
+struct FrameScratch {
     windowed: Vec<f64>,
     re: Vec<f64>,
     im: Vec<f64>,
@@ -226,7 +223,7 @@ pub(crate) struct FrameScratch {
 
 impl FrameScratch {
     /// Buffers for frames of `n_fft` samples.
-    pub(crate) fn new(n_fft: usize) -> Self {
+    fn new(n_fft: usize) -> Self {
         let bins = n_fft / 2 + 1;
         FrameScratch {
             windowed: vec![0.0; n_fft],

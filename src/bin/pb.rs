@@ -69,21 +69,26 @@ fn main() {
         call_cmd(rest);
         return;
     }
-    let flags = parse_flags(rest.iter().cloned());
-    match command {
-        "tables" => tables(),
-        "recommend" => recommend(&flags),
-        "sweep" => sweep(&flags),
-        "serve" => serve(&flags),
-        "tune" => tune(&flags),
-        "alert" => alert(&flags),
-        "help" => usage(),
+    // Each command with the flag keys it reads; any other key is an error.
+    let (run, keys): (fn(&HashMap<String, String>), &str) = match command {
+        "tables" => (|_| tables(), ""),
+        "recommend" => (recommend, "hives cap service losses backend"),
+        "sweep" => (
+            sweep,
+            "backend cap from to step service losses seed metrics trace faults causal flight \
+             chrome openmetrics",
+        ),
+        "serve" => (serve, "listen unix queue workers metrics openmetrics"),
+        "tune" => (tune, "battery-wh"),
+        "alert" => (alert, "accuracy k"),
+        "help" => (|_| usage(), ""),
         other => {
             eprintln!("unknown command: {other}\n");
             usage();
             std::process::exit(2);
         }
-    }
+    };
+    run(&parse_flags(rest, keys));
 }
 
 fn usage() {
@@ -136,20 +141,24 @@ fn usage() {
     println!("                                  shed retry-after up to N tries (default 5)");
 }
 
-fn parse_flags(args: impl Iterator<Item = String>) -> HashMap<String, String> {
+/// Parses `--key [value]` pairs (a flag without a value maps to
+/// `"true"`), failing on a key not named in the space-separated `keys` or
+/// on a stray positional argument: a typo must not silently change the run.
+fn parse_flags(args: &[String], keys: &str) -> HashMap<String, String> {
     let mut flags = HashMap::new();
-    let mut args = args.peekable();
+    let mut args = args.iter().peekable();
     while let Some(arg) = args.next() {
-        if let Some(key) = arg.strip_prefix("--") {
-            let value = if args.peek().is_some_and(|v| !v.starts_with("--")) {
-                args.next().unwrap()
-            } else {
-                "true".to_string()
-            };
-            flags.insert(key.to_string(), value);
-        } else {
-            eprintln!("ignoring stray argument: {arg}");
+        let Some(key) = arg.strip_prefix("--") else {
+            fail(&format!("unexpected argument '{arg}'"));
+        };
+        if !keys.split_whitespace().any(|k| k == key) {
+            fail(&format!("unknown flag --{key}"));
         }
+        let value = match args.next_if(|v| !v.starts_with("--")) {
+            Some(v) => v.clone(),
+            None => "true".to_string(),
+        };
+        flags.insert(key.to_string(), value);
     }
     flags
 }
@@ -445,7 +454,7 @@ fn trace_cmd(args: &[String]) {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         fail("trace needs a JSONL file path: pb trace FILE [--top K] [--chrome FILE]");
     };
-    let flags = parse_flags(args[1..].iter().cloned());
+    let flags = parse_flags(&args[1..], "top chrome");
     let top = get(&flags, "top", 5usize);
     let jsonl =
         std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
@@ -583,7 +592,7 @@ fn call_cmd(args: &[String]) {
     let Some(request) = args.get(1).filter(|a| !a.starts_with("--")) else {
         fail("call needs a JSON request, e.g. '{\"op\":\"status\"}'");
     };
-    let flags = parse_flags(args[2..].iter().cloned());
+    let flags = parse_flags(&args[2..], "attempts");
     let attempts = get(&flags, "attempts", 5u32);
     if attempts == 0 {
         fail("--attempts must be at least 1");

@@ -1,6 +1,7 @@
 //! `--help` on any `pb` subcommand prints usage and exits 0 without
 //! doing the command's work (for `serve`: without binding a port and
-//! blocking).
+//! blocking). A flag the command does not read, or a stray positional
+//! argument, exits 2 naming it.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -39,5 +40,26 @@ fn help_flag_works_after_any_command() {
         let out = Command::new(env!("CARGO_BIN_EXE_pb")).args(args).output().expect("run pb");
         assert!(out.status.success(), "{args:?}: {}", out.status);
         assert!(String::from_utf8_lossy(&out.stdout).contains("commands:"), "{args:?}");
+    }
+}
+
+#[test]
+fn unknown_flags_and_stray_arguments_exit_2_naming_them() {
+    for (args, named) in [
+        (
+            &["sweep", "--faults", "mid", "--from", "1000", "--to", "1000", "--no-flight"][..],
+            "--no-flight",
+        ),
+        (&["sweep", "--trce", "F"], "--trce"),
+        (&["--bogus-flag"], "--bogus-flag"),
+        (&["recommend", "--hives", "630", "stray"], "stray"),
+        (&["tune", "--hives", "5"], "--hives"),
+        (&["trace", "t.jsonl", "--tp", "3"], "--tp"),
+        (&["call", "127.0.0.1:1", "{}", "--attempt", "2"], "--attempt"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pb")).args(args).output().expect("run pb");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", out.status);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(named), "{args:?}: stderr does not name {named}:\n{stderr}");
     }
 }
