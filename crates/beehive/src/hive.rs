@@ -1,13 +1,12 @@
 //! A smart beehive: the full deployed node.
 //!
-//! Combines the two Raspberry Pis, the sensor suite, the solar power
-//! system, the wake-up scheduler and the hive climate into one steppable
-//! unit. The Pi Zero is always on; the Pi 3b+ sleeps between wake-ups and
-//! runs the ≈ 89 s data-collection routine when woken.
+//! Combines the two Raspberry Pis, the solar power system, the wake-up
+//! scheduler and the hive climate into one steppable unit. The Pi Zero is
+//! always on; the Pi 3b+ sleeps between wake-ups and runs the ≈ 89 s
+//! data-collection routine when woken.
 
 use crate::climate::HiveClimate;
 use pb_device::profile::EdgeDeviceProfile;
-use pb_device::sensors::SensorSuite;
 use pb_device::wake::WakeScheduler;
 use pb_energy::harvest::{PowerSystem, PowerSystemConfig};
 use pb_units::{Seconds, Watts};
@@ -21,8 +20,6 @@ pub struct SmartBeehive {
     pub pi3b: EdgeDeviceProfile,
     /// The always-on energy logger.
     pub pi_zero: EdgeDeviceProfile,
-    /// The sensor suite.
-    pub sensors: SensorSuite,
     /// GPIO wake-up source.
     pub scheduler: WakeScheduler,
     /// Solar + battery power system.
@@ -39,7 +36,6 @@ impl SmartBeehive {
             id: id.into(),
             pi3b: EdgeDeviceProfile::raspberry_pi_3b_plus(),
             pi_zero: EdgeDeviceProfile::raspberry_pi_zero_wh(),
-            sensors: SensorSuite::deployed(),
             scheduler: WakeScheduler::new(wake_period, Seconds::ZERO),
             power: PowerSystem::new(PowerSystemConfig::default()),
             climate: HiveClimate::default(),

@@ -10,7 +10,6 @@
 //!
 //! * [`constants`] — every calibrated number with its provenance,
 //! * [`profile`] — edge-device and cloud-server power profiles,
-//! * [`sensors`] — the sensor suite and the byte volumes it produces,
 //! * [`compute`] — MAC-count → (duration, energy) execution models,
 //! * [`routine`] — the data-collection routine builder and the wake-up
 //!   frequency analysis behind Figure 3,
@@ -21,7 +20,6 @@ pub mod compute;
 pub mod constants;
 pub mod profile;
 pub mod routine;
-pub mod sensors;
 pub mod wake;
 
 pub use catalog::{rank_hardware, HardwareOption};
@@ -29,5 +27,4 @@ pub use compute::{ComputeModel, Execution};
 pub use pb_energy::gaussian;
 pub use profile::{CloudServerProfile, EdgeDeviceProfile};
 pub use routine::{CyclePlan, RoutineBuilder, Task};
-pub use sensors::{SensorKind, SensorSuite};
 pub use wake::WakeScheduler;

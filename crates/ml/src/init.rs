@@ -1,22 +1,12 @@
 //! Weight initialization helpers.
 
+use pb_energy::gaussian;
 use rand::Rng;
-
-/// Standard normal sample via Box–Muller.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u1: f64 = rng.gen::<f64>();
-        let u2: f64 = rng.gen::<f64>();
-        if u1 > f64::MIN_POSITIVE {
-            return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        }
-    }
-}
 
 /// He-normal initialization: 𝒩(0, √(2 / fan_in)), the standard choice for
 /// ReLU networks.
 pub fn he_normal<R: Rng + ?Sized>(fan_in: usize, rng: &mut R) -> f64 {
-    standard_normal(rng) * (2.0 / fan_in.max(1) as f64).sqrt()
+    gaussian(rng) * (2.0 / fan_in.max(1) as f64).sqrt()
 }
 
 #[cfg(test)]
@@ -24,17 +14,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn standard_normal_moments() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let n = 50_000;
-        let xs: Vec<f64> = (0..n).map(|_| standard_normal(&mut rng)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.02);
-        assert!((var - 1.0).abs() < 0.05);
-    }
 
     #[test]
     fn he_variance_scales_with_fan_in() {

@@ -14,9 +14,14 @@
 //!
 //! `pb --backend des --trace trace.jsonl` (flags first, no command word) is
 //! shorthand for `pb sweep …`.
+//!
+//! `sweep` and `recommend` read their flags through the daemon's request
+//! field tables (`serve::protocol`) and run its executor
+//! (`serve::Executor`), so `pb sweep --cap 35` and `pb call ADDR
+//! '{"op":"sweep","cap":35}'` price the same question with the same
+//! defaults and bounds.
 
 use precision_beekeeping::beehive::alert::AlertPolicy;
-use precision_beekeeping::beehive::apiary::Apiary;
 use precision_beekeeping::beehive::hive::SmartBeehive;
 use precision_beekeeping::beehive::tuner::{FrequencyTuner, ServiceRequirement};
 use precision_beekeeping::device::constants::CYCLE_PERIOD;
@@ -26,23 +31,16 @@ use precision_beekeeping::energy::harvest::{PowerSystem, PowerSystemConfig};
 use precision_beekeeping::ml::{
     FeatureMap, QuantScratch, QuantizedResNetLite, ResNetConfig, ResNetLite,
 };
-use precision_beekeeping::orchestra::engine::{Backend, SimContext};
-use precision_beekeeping::orchestra::faults::{FaultPlan, FaultStats};
-use precision_beekeeping::orchestra::loss::LossModel;
 use precision_beekeeping::orchestra::prelude::seeded_rng;
-use precision_beekeeping::orchestra::presets;
 use precision_beekeeping::orchestra::report::{metrics_table, publish_pool_metrics};
-use precision_beekeeping::orchestra::sweep::{
-    analyze_crossover, validate_client_count, SweepConfig,
-};
-use precision_beekeeping::orchestra::FillPolicy;
-use precision_beekeeping::serve::{self as serve_mod, ServeClient, ServeOptions};
+use precision_beekeeping::orchestra::sweep::analyze_crossover;
+use precision_beekeeping::serve::protocol::{Args, FaultTotals, RecommendRequest, SweepRequest};
+use precision_beekeeping::serve::{self as serve_mod, Executor, ServeClient, ServeOptions};
 use precision_beekeeping::signal::audio::{BeeAudioSynth, ColonyState};
 use precision_beekeeping::signal::pipeline::MelPipeline;
 use precision_beekeeping::telemetry::export::{chrome_trace, chrome_trace_from_jsonl, openmetrics};
 use precision_beekeeping::telemetry::{FlightRecorderSink, Forensics, Telemetry};
 use precision_beekeeping::units::{Seconds, WattHours, Watts};
-use std::collections::HashMap;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -59,36 +57,31 @@ fn main() {
     // `pb --backend des --trace t.jsonl` (flags first) means `pb sweep …`.
     let (command, rest) =
         if first.starts_with("--") { ("sweep", &argv[..]) } else { (first.as_str(), &argv[1..]) };
-    // `trace` takes a positional file path, so it parses its own args.
-    if command == "trace" {
-        trace_cmd(rest);
-        return;
-    }
-    // `call` takes a positional endpoint and request, likewise.
-    if command == "call" {
-        call_cmd(rest);
-        return;
-    }
-    // Each command with the flag keys it reads; any other key is an error.
-    let (run, keys): (fn(&HashMap<String, String>), &str) = match command {
-        "tables" => (|_| tables(), ""),
-        "recommend" => (recommend, "hives cap service losses backend"),
-        "sweep" => (
-            sweep,
-            "backend cap from to step service losses seed metrics trace faults causal flight \
-             chrome openmetrics",
-        ),
-        "serve" => (serve, "listen unix queue workers metrics openmetrics"),
-        "tune" => (tune, "battery-wh"),
-        "alert" => (alert, "accuracy k"),
-        "help" => (|_| usage(), ""),
+    match command {
+        // `trace` and `call` take positional arguments before their flags.
+        "trace" => trace_cmd(rest),
+        "call" => call_cmd(rest),
+        "sweep" => sweep(rest),
+        "recommend" => recommend(rest),
+        "tables" => {
+            args(rest, &[]);
+            tables();
+        }
+        "serve" => {
+            serve(&args(rest, &["listen", "unix", "queue", "workers", "metrics", "openmetrics"]))
+        }
+        "tune" => tune(&args(rest, &["battery-wh"])),
+        "alert" => alert(&args(rest, &["accuracy", "k"])),
+        "help" => {
+            args(rest, &[]);
+            usage();
+        }
         other => {
             eprintln!("unknown command: {other}\n");
             usage();
             std::process::exit(2);
         }
-    };
-    run(&parse_flags(rest, keys));
+    }
 }
 
 fn usage() {
@@ -141,61 +134,26 @@ fn usage() {
     println!("                                  shed retry-after up to N tries (default 5)");
 }
 
-/// Parses `--key [value]` pairs (a flag without a value maps to
-/// `"true"`), failing on a key not named in the space-separated `keys` or
-/// on a stray positional argument: a typo must not silently change the run.
-fn parse_flags(args: &[String], keys: &str) -> HashMap<String, String> {
-    let mut flags = HashMap::new();
-    let mut args = args.iter().peekable();
-    while let Some(arg) = args.next() {
-        let Some(key) = arg.strip_prefix("--") else {
-            fail(&format!("unexpected argument '{arg}'"));
-        };
-        if !keys.split_whitespace().any(|k| k == key) {
-            fail(&format!("unknown flag --{key}"));
-        }
-        let value = match args.next_if(|v| !v.starts_with("--")) {
-            Some(v) => v.clone(),
-            None => "true".to_string(),
-        };
-        flags.insert(key.to_string(), value);
-    }
-    flags
-}
-
-/// Typed flag lookup: absent → default, present-but-unparsable → clean
-/// error (a silent fallback would hand the user the wrong analysis).
-fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {
-    match flags.get(key) {
-        None => default,
-        Some(raw) => {
-            raw.parse().unwrap_or_else(|_| fail(&format!("--{key}: cannot parse '{raw}'")))
-        }
-    }
-}
-
 /// Prints an error and exits with status 2.
 fn fail(message: &str) -> ! {
     eprintln!("error: {message}");
     std::process::exit(2);
 }
 
-/// A flag that must carry a file path when present.
-fn path_flag(flags: &HashMap<String, String>, key: &str) -> Option<String> {
-    match flags.get(key) {
-        None => None,
-        Some(p) if p == "true" => fail(&format!("--{key} needs a file path")),
-        Some(p) => Some(p.clone()),
-    }
+/// The value, or the error printed with exit status 2.
+fn or_fail<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|e| fail(&e))
 }
 
-fn service_of(flags: &HashMap<String, String>) -> ServiceKind {
-    match flags.get("service").map(String::as_str) {
-        Some("svm") => ServiceKind::Svm,
-        Some("cnn-int8") => ServiceKind::CnnInt8,
-        _ => ServiceKind::Cnn,
-    }
+/// Reads a command's `--key [value]` flags; any other key fails.
+fn args(argv: &[String], keys: &[&str]) -> Args {
+    or_fail(Args::read(argv, keys))
 }
+
+/// `pb sweep`'s observation flags: they choose what the run records and
+/// where it writes it, never what it computes, so they stay outside the
+/// request and its coalescing key.
+const OBSERVE: &[&str] = &["metrics", "trace", "causal", "flight", "chrome", "openmetrics"];
 
 fn tables() {
     let b = RoutineBuilder::deployed();
@@ -207,27 +165,16 @@ fn tables() {
     println!("{}", b.edge_cloud_cycle(CYCLE_PERIOD).to_ledger());
 }
 
-fn recommend(flags: &HashMap<String, String>) {
-    let hives = get(flags, "hives", 5usize);
-    let cap = get(flags, "cap", 10usize);
-    if cap == 0 {
-        fail("--cap must be at least 1 client per slot");
-    }
-    if hives == 0 {
-        fail("--hives must be at least 1");
-    }
-    let service = service_of(flags);
-    let losses = flags.contains_key("losses");
-    let loss = if losses { LossModel::all() } else { LossModel::NONE };
-    let backend: Backend = get(flags, "backend", Backend::ClosedForm);
-    let rec = Apiary::new("cli", hives).recommend_with(backend, service, cap, loss);
+fn recommend(argv: &[String]) {
+    let (r, _) = or_fail(RecommendRequest::from_args(argv, &[]));
+    let rec = Executor::new(Telemetry::disabled()).recommend(&r);
     println!(
         "{} hives, {} service, {} clients/slot{}, {} backend:",
-        hives,
-        service.name(),
-        cap,
-        if losses { ", with losses" } else { "" },
-        backend
+        r.hives,
+        r.service.name(),
+        r.cap,
+        if r.losses { ", with losses" } else { "" },
+        r.backend
     );
     println!("  edge       : {:.1} J per hive per cycle", rec.edge_per_hive.value());
     println!(
@@ -238,45 +185,14 @@ fn recommend(flags: &HashMap<String, String>) {
     println!("  recommend  : {}", rec.scenario.name());
 }
 
-fn sweep(flags: &HashMap<String, String>) {
-    let cap = get(flags, "cap", 35usize);
-    let from = get(flags, "from", 100usize);
-    let to = get(flags, "to", 2000usize);
-    let step = get(flags, "step", 100usize);
-    let seed = get(flags, "seed", 0xF1E1Du64);
-    let backend: Backend = get(flags, "backend", Backend::ClosedForm);
-    if cap == 0 {
-        fail("--cap must be at least 1 client per slot");
-    }
-    if step == 0 {
-        fail("--step must be positive");
-    }
-    if to < from {
-        fail("--to must be at least --from");
-    }
-    if let Err(e) = validate_client_count(to) {
-        fail(&format!("--to: {e}"));
-    }
-    let service = service_of(flags);
-    let losses = flags.contains_key("losses");
-    let trace_path = flags.get("trace").cloned();
-    if trace_path.as_deref() == Some("true") {
-        fail("--trace needs a file path");
-    }
-    let metrics = flags.contains_key("metrics");
-    let fault_plan: FaultPlan = match flags.get("faults") {
-        None => FaultPlan::NONE,
-        Some(raw) if raw == "true" => fail("--faults needs a spec ('mid' or key=value,…)"),
-        Some(raw) => raw.parse().unwrap_or_else(|e: String| fail(&format!("--faults: {e}"))),
-    };
-
-    let causal = flags.contains_key("causal");
-    let chrome_path = path_flag(flags, "chrome");
-    let openmetrics_path = path_flag(flags, "openmetrics");
-    let flight_path = match flags.get("flight") {
-        Some(p) if p != "true" => p.clone(),
-        _ => "pb-flight.jsonl".to_string(),
-    };
+fn sweep(argv: &[String]) {
+    let (r, observe) = or_fail(SweepRequest::from_args(argv, OBSERVE));
+    let metrics = or_fail(observe.parse("metrics", false));
+    let causal = or_fail(observe.parse("causal", false));
+    let trace_path = or_fail(observe.value("trace", "a file path"));
+    let chrome_path = or_fail(observe.value("chrome", "a file path"));
+    let openmetrics_path = or_fail(observe.value("openmetrics", "a file path"));
+    let flight_path = observe.get("flight").flatten().unwrap_or("pb-flight.jsonl");
 
     // Event recording only pays off when a trace is written; --metrics
     // alone keeps the cheap no-op event sink. No flags → fully disabled,
@@ -290,9 +206,9 @@ fn sweep(flags: &HashMap<String, String>) {
     // shape-memoized replay. Its remaining cost is building and storing
     // the fault events.
     let wants_events = trace_path.is_some() || chrome_path.is_some();
-    let flight = if !fault_plan.is_none() && !wants_events {
+    let flight = if !r.faults.is_none() && !wants_events {
         Some(std::sync::Arc::new(
-            FlightRecorderSink::new(4096).with_auto_dump(flight_path.clone(), 1),
+            FlightRecorderSink::new(4096).with_auto_dump(flight_path.to_string(), 1),
         ))
     } else {
         None
@@ -308,31 +224,21 @@ fn sweep(flags: &HashMap<String, String>) {
     };
     let telemetry = if causal { telemetry.with_tracing() } else { telemetry };
 
-    let config = SweepConfig {
-        edge_client: presets::edge_client(service),
-        cloud_client: presets::edge_cloud_client(),
-        server: presets::cloud_server(service, cap),
-        loss: if losses { LossModel::all() } else { LossModel::NONE },
-        policy: FillPolicy::PackSlots,
-        seed,
-    };
-    let ns: Vec<usize> = (from..=to).step_by(step).collect();
-    let ctx = SimContext::with_telemetry(seed, telemetry.clone()).with_fault_plan(fault_plan);
-    let points = config.run_with_context(&backend, &ns, &ctx);
+    let points = Executor::new(telemetry.clone()).sweep(&r);
     let crossover = analyze_crossover(&points);
 
     println!(
         "{} service, {}–{} clients (step {}), {} clients/slot{}, {} backend:",
-        service.name(),
-        from,
-        to,
-        step,
-        cap,
-        if losses { ", with losses" } else { "" },
-        backend
+        r.service.name(),
+        r.from,
+        r.to,
+        r.step,
+        r.cap,
+        if r.losses { ", with losses" } else { "" },
+        r.backend
     );
-    if !fault_plan.is_none() {
-        println!("  fault plan      : {fault_plan}");
+    if !r.faults.is_none() {
+        println!("  fault plan      : {}", r.faults);
     }
     match crossover.first_crossover {
         Some(n) => println!("  first crossover : {n} clients (edge+cloud first wins)"),
@@ -344,58 +250,41 @@ fn sweep(flags: &HashMap<String, String>) {
     if let Some((n, adv)) = crossover.max_advantage {
         println!("  max advantage   : {:.1} J per client at {} clients", adv.value(), n);
     }
-    if !fault_plan.is_none() {
-        let mut agg = FaultStats::default();
-        let mut active = 0usize;
-        for p in &points {
-            let f = &p.cloud.faults;
-            agg.attempts += f.attempts;
-            agg.retries += f.retries;
-            agg.fallbacks += f.fallbacks;
-            agg.brownouts += f.brownouts;
-            agg.sensor_dropouts += f.sensor_dropouts;
-            agg.delivered += f.delivered;
-            active += p.cloud.n_active;
-        }
+    if !r.faults.is_none() {
+        let totals = FaultTotals::of(&points);
+        let f = &totals.stats;
         println!(
             "  faults (cloud)  : {} attempts, {} retries, {} fallbacks \
              ({} brown-outs), {} sensor dropouts, {} delivered",
-            agg.attempts,
-            agg.retries,
-            agg.fallbacks,
-            agg.brownouts,
-            agg.sensor_dropouts,
-            agg.delivered
+            f.attempts, f.retries, f.fallbacks, f.brownouts, f.sensor_dropouts, f.delivered
         );
-        let accounted = agg.delivered + agg.fallbacks + agg.sensor_dropouts;
-        let active = active as u64;
         println!(
             "  conservation    : delivered {} + fallbacks {} + dropouts {} == active {} ({})",
-            agg.delivered,
-            agg.fallbacks,
-            agg.sensor_dropouts,
-            active,
-            if accounted == active { "ok" } else { "VIOLATED" }
+            f.delivered,
+            f.fallbacks,
+            f.sensor_dropouts,
+            totals.active,
+            if totals.conserved() { "ok" } else { "VIOLATED" }
         );
         // A broken conservation sum is an anomaly worth a post-mortem:
         // the event is a flight-recorder dump trigger.
-        if accounted != active && telemetry.events_recording() {
+        if !totals.conserved() && telemetry.events_recording() {
             telemetry.event(
                 0.0,
                 "anomaly.conservation",
                 vec![
-                    ("delivered", agg.delivered.into()),
-                    ("fallbacks", agg.fallbacks.into()),
-                    ("dropouts", agg.sensor_dropouts.into()),
-                    ("active", active.into()),
+                    ("delivered", f.delivered.into()),
+                    ("fallbacks", f.fallbacks.into()),
+                    ("dropouts", f.sensor_dropouts.into()),
+                    ("active", totals.active.into()),
                 ],
             );
         }
     }
 
     if telemetry.is_enabled() {
-        in_vivo_dsp(&telemetry, seed);
-        in_vivo_energy(&telemetry, seed);
+        in_vivo_dsp(&telemetry, r.seed);
+        in_vivo_energy(&telemetry, r.seed);
     }
     if metrics {
         // Fold the thread pool's counters in so the table shows where
@@ -405,19 +294,19 @@ fn sweep(flags: &HashMap<String, String>) {
         println!("{}", metrics_table(&telemetry.snapshot()).render());
     }
     if let Some(path) = trace_path {
-        match telemetry.write_trace(&path) {
+        match telemetry.write_trace(path) {
             Ok(n) => println!("wrote {n} trace events to {path}"),
             Err(e) => fail(&format!("cannot write trace to {path}: {e}")),
         }
     }
     if let Some(path) = chrome_path {
-        match std::fs::write(&path, chrome_trace(&telemetry.events_sorted())) {
+        match std::fs::write(path, chrome_trace(&telemetry.events_sorted())) {
             Ok(()) => println!("wrote Chrome trace-event span view to {path}"),
             Err(e) => fail(&format!("cannot write Chrome trace to {path}: {e}")),
         }
     }
     if let Some(path) = openmetrics_path {
-        match std::fs::write(&path, openmetrics(&telemetry.snapshot())) {
+        match std::fs::write(path, openmetrics(&telemetry.snapshot())) {
             Ok(()) => println!("wrote OpenMetrics exposition to {path}"),
             Err(e) => fail(&format!("cannot write OpenMetrics to {path}: {e}")),
         }
@@ -450,19 +339,19 @@ fn sweep(flags: &HashMap<String, String>) {
 /// root-cause table and the top-k slowest / most energy-expensive
 /// traces; `--chrome` additionally converts the log into a
 /// Perfetto-loadable Chrome trace-event file.
-fn trace_cmd(args: &[String]) {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
+fn trace_cmd(argv: &[String]) {
+    let Some(path) = argv.first().filter(|a| !a.starts_with("--")) else {
         fail("trace needs a JSONL file path: pb trace FILE [--top K] [--chrome FILE]");
     };
-    let flags = parse_flags(&args[1..], "top chrome");
-    let top = get(&flags, "top", 5usize);
+    let flags = args(&argv[1..], &["top", "chrome"]);
+    let top = or_fail(flags.parse("top", 5usize));
     let jsonl =
         std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     let forensics = Forensics::from_jsonl(&jsonl).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-    if let Some(out) = path_flag(&flags, "chrome") {
+    if let Some(out) = or_fail(flags.value("chrome", "a file path")) {
         let chrome =
             chrome_trace_from_jsonl(&jsonl).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-        match std::fs::write(&out, chrome) {
+        match std::fs::write(out, chrome) {
             Ok(()) => println!("wrote Chrome trace-event span view to {out}\n"),
             Err(e) => fail(&format!("cannot write Chrome trace to {out}: {e}")),
         }
@@ -524,29 +413,21 @@ fn in_vivo_energy(telemetry: &Telemetry, seed: u64) {
 /// sends the `shutdown` op, then prints the drain accounting (the
 /// conservation line CI greps), the coalesce counter, and — with
 /// `--metrics` / `--openmetrics` — the final telemetry.
-fn serve(flags: &HashMap<String, String>) {
-    let queue = get(flags, "queue", 64usize);
-    let workers = get(flags, "workers", 2usize);
+fn serve(flags: &Args) {
+    let defaults = ServeOptions::default();
+    let queue = or_fail(flags.parse("queue", defaults.queue_capacity));
+    let workers = or_fail(flags.parse("workers", defaults.workers));
     if queue == 0 {
         fail("--queue must be at least 1");
     }
     if workers == 0 {
         fail("--workers must be at least 1");
     }
-    let metrics = flags.contains_key("metrics");
-    let openmetrics_path = path_flag(flags, "openmetrics");
-    let unix_path = path_flag(flags, "unix");
-    let listen = match flags.get("listen") {
-        Some(a) if a == "true" => fail("--listen needs HOST:PORT"),
-        Some(a) => a.clone(),
-        None => "127.0.0.1:7631".to_string(),
-    };
-    let options = ServeOptions {
-        queue_capacity: queue,
-        workers,
-        telemetry: Telemetry::metrics_only(),
-        ..ServeOptions::default()
-    };
+    let metrics = or_fail(flags.parse("metrics", false));
+    let openmetrics_path = or_fail(flags.value("openmetrics", "a file path"));
+    let unix_path = or_fail(flags.value("unix", "a file path"));
+    let listen = or_fail(flags.value("listen", "HOST:PORT")).unwrap_or("127.0.0.1:7631");
+    let options = ServeOptions { queue_capacity: queue, workers, ..defaults };
     let telemetry = options.telemetry.clone();
     let handle = if let Some(path) = &unix_path {
         let h = serve_mod::spawn_unix(std::path::Path::new(path), options)
@@ -554,7 +435,7 @@ fn serve(flags: &HashMap<String, String>) {
         println!("pb serve: listening on unix socket {path}");
         h
     } else {
-        let h = serve_mod::spawn(&listen, options)
+        let h = serve_mod::spawn(listen, options)
             .unwrap_or_else(|e| fail(&format!("cannot bind {listen}: {e}")));
         println!("pb serve: listening on {}", h.addr());
         h
@@ -575,7 +456,7 @@ fn serve(flags: &HashMap<String, String>) {
         println!("{}", metrics_table(&telemetry.snapshot()).render());
     }
     if let Some(path) = openmetrics_path {
-        match std::fs::write(&path, openmetrics(&telemetry.snapshot())) {
+        match std::fs::write(path, openmetrics(&telemetry.snapshot())) {
             Ok(()) => println!("wrote OpenMetrics exposition to {path}"),
             Err(e) => fail(&format!("cannot write OpenMetrics to {path}: {e}")),
         }
@@ -585,28 +466,27 @@ fn serve(flags: &HashMap<String, String>) {
 /// `pb call ENDPOINT JSON [--attempts N]` — one framed request to a
 /// running daemon; shed responses are honored (sleep `retry_after_s`,
 /// retry with an incremented `attempt`) up to the attempt budget.
-fn call_cmd(args: &[String]) {
-    let Some(endpoint) = args.first().filter(|a| !a.starts_with("--")) else {
+fn call_cmd(argv: &[String]) {
+    let Some(endpoint) = argv.first().filter(|a| !a.starts_with("--")) else {
         fail("call needs an endpoint: pb call HOST:PORT|SOCKET_PATH JSON [--attempts N]");
     };
-    let Some(request) = args.get(1).filter(|a| !a.starts_with("--")) else {
+    let Some(request) = argv.get(1).filter(|a| !a.starts_with("--")) else {
         fail("call needs a JSON request, e.g. '{\"op\":\"status\"}'");
     };
-    let flags = parse_flags(&args[2..], "attempts");
-    let attempts = get(&flags, "attempts", 5u32);
+    let attempts = or_fail(args(&argv[2..], &["attempts"]).parse("attempts", 5usize));
     if attempts == 0 {
         fail("--attempts must be at least 1");
     }
     let mut client = ServeClient::connect_str(endpoint)
         .unwrap_or_else(|e| fail(&format!("cannot connect to {endpoint}: {e}")));
-    match client.call_with_retry(request, attempts) {
+    match client.call_with_retry(request, u32::try_from(attempts).unwrap_or(u32::MAX)) {
         Ok(response) => println!("{response}"),
         Err(e) => fail(&format!("{endpoint}: {e}")),
     }
 }
 
-fn tune(flags: &HashMap<String, String>) {
-    let wh = get(flags, "battery-wh", 100.0f64);
+fn tune(flags: &Args) {
+    let wh = or_fail(flags.parse("battery-wh", 100.0f64));
     if wh <= 0.0 || !wh.is_finite() {
         fail("--battery-wh must be a positive number of watt-hours");
     }
@@ -642,12 +522,12 @@ fn tune(flags: &HashMap<String, String>) {
     }
 }
 
-fn alert(flags: &HashMap<String, String>) {
-    let accuracy = get(flags, "accuracy", 0.99f64);
+fn alert(flags: &Args) {
+    let accuracy = or_fail(flags.parse("accuracy", 0.99f64));
     if !(accuracy > 0.0 && accuracy <= 1.0) {
         fail("--accuracy must be in (0, 1]");
     }
-    let k = get(flags, "k", 3usize);
+    let k = or_fail(flags.parse("k", 3usize));
     if k == 0 {
         fail("--k must be at least 1");
     }

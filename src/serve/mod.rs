@@ -18,7 +18,9 @@
 //!
 //! 1. **Bit-identity** — a served response is byte-for-byte the result
 //!    the batch CLI path computes for the same question, at any thread
-//!    count, coalesced or not.
+//!    count, coalesced or not. Both front ends read requests through one
+//!    field table per op ([`protocol`]) and run one [`Executor`], so
+//!    they share every default, bound and engine call.
 //! 2. **Conservation** — every submitted request is accepted or shed:
 //!    `accepted + shed == submitted`, exactly, and shutdown drains
 //!    without loss.
@@ -38,10 +40,12 @@
 //! assert!(report.conservation_ok());
 //! ```
 
+mod execute;
 pub mod frame;
 pub mod protocol;
 mod server;
 
+pub use execute::Executor;
 pub use server::{spawn, DrainReport, ServeClient, ServeHandle, ServeOptions, METRIC_FAMILIES};
 
 #[cfg(unix)]

@@ -10,12 +10,10 @@
 //!   byte-equal to one already queued or executing attaches itself as a
 //!   waiter instead of consuming queue capacity, and the single
 //!   execution's response fans out to every waiter (coalescing);
-//! * one [`AllocationCache`] and one planned
-//!   [`MelPipeline`](crate::signal::pipeline::MelPipeline) shared by
-//!   all requests, threaded into the engine through
-//!   [`SimContext::with_cache_and_telemetry`] — the cache is a
-//!   transparent memo, so served results stay bit-identical to the
-//!   batch CLI path.
+//! * one [`Executor`] shared by all requests — the same executor `pb
+//!   sweep` and `pb recommend` run, holding one allocation cache and one
+//!   planned mel pipeline; the cache is a transparent memo, so served
+//!   results stay bit-identical to the batch CLI path.
 //!
 //! The accounting invariant the tests pin: every submitted compute
 //! request is either accepted (queued or coalesced) or shed —
@@ -36,20 +34,11 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use super::execute::Executor;
 use super::frame::{self, FrameError};
 use super::protocol::{self, error_response, ok_response, shed_response, Envelope, Request};
-use crate::beehive::apiary::Apiary;
-use crate::orchestra::engine::{AllocationCache, SimContext};
 use crate::orchestra::faults::RetryPolicy;
-use crate::orchestra::loss::LossModel;
-use crate::orchestra::montecarlo::replicate_point_with;
-use crate::orchestra::planner::plan_slot_capacity_with;
 use crate::orchestra::prelude::seeded_rng;
-use crate::orchestra::presets;
-use crate::orchestra::sweep::SweepConfig;
-use crate::orchestra::FillPolicy;
-use crate::signal::audio::BeeAudioSynth;
-use crate::signal::pipeline::MelPipeline;
 use crate::telemetry::Telemetry;
 
 /// Daemon configuration. `Default` matches the `pb serve` defaults.
@@ -156,8 +145,7 @@ pub struct ServeState {
     queue_capacity: usize,
     retry: RetryPolicy,
     telemetry: Telemetry,
-    cache: Arc<AllocationCache>,
-    mel: Arc<MelPipeline>,
+    executor: Executor,
     submitted: AtomicU64,
     accepted: AtomicU64,
     shed: AtomicU64,
@@ -214,8 +202,7 @@ impl ServeState {
             stop: AtomicBool::new(false),
             queue_capacity: options.queue_capacity.max(1),
             retry,
-            cache: Arc::new(AllocationCache::with_telemetry(&telemetry)),
-            mel: Arc::new(MelPipeline::paper_default().with_telemetry(telemetry.clone())),
+            executor: Executor::new(telemetry.clone()),
             telemetry,
             submitted: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
@@ -296,9 +283,12 @@ impl ServeState {
             // error response like any other failure.
             let response = {
                 let _span = self.telemetry.span(&format!("serve.request.{}", job.request.op()));
-                catch_unwind(AssertUnwindSafe(|| self.execute(&job.request))).unwrap_or_else(|_| {
-                    error_response("internal error: request execution panicked")
-                })
+                match catch_unwind(AssertUnwindSafe(|| self.executor.respond(&job.request))) {
+                    Ok(Some(reply)) => reply,
+                    // Control operations never reach the queue.
+                    Ok(None) => error_response("internal error: control op reached an executor"),
+                    Err(_) => error_response("internal error: request execution panicked"),
+                }
             };
             self.count(&self.executed, "serve.executed");
             self.telemetry
@@ -319,91 +309,6 @@ impl ServeState {
                 let _ = tx.send(Arc::clone(&response));
             }
         }
-    }
-
-    /// Runs one request against the shared cache, pipeline and
-    /// telemetry. Responses are a pure function of the request: every
-    /// evaluation builds its context from the request's own seed, so
-    /// they are bit-identical to the equivalent batch CLI invocation.
-    fn execute(&self, request: &Request) -> String {
-        match request {
-            Request::Sweep(r) => {
-                let config = SweepConfig {
-                    edge_client: presets::edge_client(r.service),
-                    cloud_client: presets::edge_cloud_client(),
-                    server: presets::cloud_server(r.service, r.cap),
-                    loss: if r.losses { LossModel::all() } else { LossModel::NONE },
-                    policy: FillPolicy::PackSlots,
-                    seed: r.seed,
-                };
-                let ctx = self.context(r.seed).with_fault_plan(r.faults);
-                let ns: Vec<usize> = (r.from..=r.to).step_by(r.step).collect();
-                let points = config.run_with_context(&r.backend, &ns, &ctx);
-                ok_response("sweep", &protocol::sweep_body(r, &points))
-            }
-            Request::Plan(r) => {
-                let loss = if r.losses { LossModel::all() } else { LossModel::NONE };
-                let plan = plan_slot_capacity_with(
-                    &self.context(r.seed),
-                    r.clients,
-                    r.cap_from..=r.cap_to,
-                    |cap| presets::cloud_server(r.service, cap),
-                    &presets::edge_cloud_client(),
-                    &loss,
-                    FillPolicy::PackSlots,
-                );
-                ok_response("plan", &protocol::plan_body(r, &plan))
-            }
-            Request::Recommend(r) => {
-                let loss = if r.losses { LossModel::all() } else { LossModel::NONE };
-                let rec = Apiary::new("serve", r.hives).recommend_in(
-                    r.backend,
-                    r.service,
-                    r.cap,
-                    loss,
-                    &self.context(Apiary::SEED),
-                );
-                ok_response("recommend", &protocol::recommend_body(r, &rec))
-            }
-            Request::MonteCarlo(r) => {
-                let config = SweepConfig {
-                    edge_client: presets::edge_client(r.service),
-                    cloud_client: presets::edge_cloud_client(),
-                    server: presets::cloud_server(r.service, r.cap),
-                    loss: if r.losses { LossModel::all() } else { LossModel::NONE },
-                    policy: FillPolicy::PackSlots,
-                    seed: r.seed,
-                };
-                let ci =
-                    replicate_point_with(&config, r.clients, r.replications, &self.context(r.seed));
-                ok_response("montecarlo", &protocol::montecarlo_body(r, &ci))
-            }
-            Request::Features(r) => {
-                let clip = {
-                    let _span = self.telemetry.span("serve.request.features.synth");
-                    BeeAudioSynth::default().generate(
-                        r.colony,
-                        r.duration_s,
-                        &mut seeded_rng(r.seed),
-                    )
-                };
-                let bands = {
-                    let _span = self.telemetry.span("serve.request.features.mel");
-                    self.mel.mel(&clip).band_means()
-                };
-                ok_response("features", &protocol::features_body(r, &bands))
-            }
-            // Control operations never reach the queue.
-            Request::Status | Request::Shutdown => {
-                error_response("internal error: control op reached an executor")
-            }
-        }
-    }
-
-    /// An engine context for one request: its own seed, the daemon's
-    /// shared cache and telemetry.
-    fn context(&self, seed: u64) -> SimContext {
-        SimContext::with_cache_and_telemetry(seed, Arc::clone(&self.cache), self.telemetry.clone())
     }
 
     /// Stops admitting, wakes everyone, lets executors drain the queue.

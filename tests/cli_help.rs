@@ -1,7 +1,7 @@
 //! `--help` on any `pb` subcommand prints usage and exits 0 without
 //! doing the command's work (for `serve`: without binding a port and
-//! blocking). A flag the command does not read, or a stray positional
-//! argument, exits 2 naming it.
+//! blocking). A flag the command does not read, a stray positional
+//! argument, or a value the daemon would reject exits 2 naming the flag.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -56,10 +56,27 @@ fn unknown_flags_and_stray_arguments_exit_2_naming_them() {
         (&["tune", "--hives", "5"], "--hives"),
         (&["trace", "t.jsonl", "--tp", "3"], "--tp"),
         (&["call", "127.0.0.1:1", "{}", "--attempt", "2"], "--attempt"),
+        // Values the daemon rejects fail on the command line too.
+        (&["sweep", "--service", "foo"], "--service"),
+        (&["sweep", "--from", "0", "--to", "0", "--step", "1"], "--from"),
+        (&["sweep", "--losses", "maybe"], "--losses"),
+        (&["recommend", "--service", "foo"], "--service"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_pb")).args(args).output().expect("run pb");
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", out.status);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(named), "{args:?}: stderr does not name {named}:\n{stderr}");
     }
+}
+
+#[test]
+fn a_switch_spelled_false_is_off() {
+    let out = Command::new(env!("CARGO_BIN_EXE_pb"))
+        .args(["sweep", "--losses", "false", "--from", "100", "--to", "300"])
+        .output()
+        .expect("run pb");
+    assert!(out.status.success(), "{}", out.status);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("CNN service, 100–300 clients"), "{stdout}");
+    assert!(!stdout.contains(", with losses"), "--losses false priced losses:\n{stdout}");
 }
