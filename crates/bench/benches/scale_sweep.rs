@@ -1,6 +1,7 @@
 //! Million-hive scale sweep: throughput of one Fig. 7-style sweep point
 //! at 10⁴, 10⁵ and 10⁶ clients on all three backends, plus the DES under
-//! the `mid` fault plan without and with the flight recorder.
+//! the `mid` fault plan without and with the flight recorder, and the
+//! faulted DES comparison of both scenarios that `pb sweep` runs.
 //!
 //! The columnar fleet state, run-length-encoded allocation and the
 //! shape-memoized DES replay exist to make this workload tractable; the
@@ -19,6 +20,7 @@ use pb_orchestra::engine::{Backend, CycleEngine, ScenarioSpec, SimContext};
 use pb_orchestra::loss::LossModel;
 use pb_orchestra::prelude::*;
 use pb_orchestra::simulation::CycleReport;
+use pb_orchestra::sweep::ComparisonPoint;
 use pb_telemetry::{FlightRecorderSink, Telemetry};
 use rayon::pool::{current_num_threads, with_thread_cap};
 use std::time::Instant;
@@ -51,6 +53,13 @@ fn evaluate_faulted(n: usize) -> CycleReport {
     let spec = fig7_spec();
     let ctx = SimContext::new(SEED).with_fault_plan(FaultPlan::mid_severity());
     Backend::Des.evaluate(&spec, n, &ctx)
+}
+
+/// The faulted point as `pb sweep --backend des --faults mid` prices
+/// it: both scenarios from one draw.
+fn compare_faulted(n: usize) -> ComparisonPoint {
+    let ctx = SimContext::new(SEED).with_fault_plan(FaultPlan::mid_severity());
+    Backend::Des.compare(&fig7_spec(), n, &ctx)
 }
 
 /// Where [`evaluate_recorded`]'s recorder writes its post-mortem.
@@ -141,6 +150,27 @@ fn measure_rows() -> Vec<Row> {
             });
         }
     }
+    for n in SIZES.into_iter().filter(|&n| n <= cap_n) {
+        let nt = compare_faulted(n);
+        for cap in [1, 2.min(n_threads)] {
+            let other = with_thread_cap(cap, || compare_faulted(n));
+            assert_eq!(nt.edge, other.edge, "edge side at {n} clients diverges at {cap} threads");
+            assert_eq!(
+                nt.cloud, other.cloud,
+                "cloud side at {n} clients diverges at {cap} threads"
+            );
+        }
+        assert_eq!(nt.cloud, evaluate_faulted(n), "compare at {n} clients != the lone cloud side");
+
+        let reps = if n >= 1_000_000 { 2 } else { 3 };
+        let elapsed_ms = time_ms(reps, || compare_faulted(n));
+        rows.push(Row {
+            backend: "des_compare_faulted_mid",
+            n_clients: n,
+            elapsed_ms,
+            clients_per_sec: n as f64 / (elapsed_ms / 1e3),
+        });
+    }
     let _ = std::fs::remove_file(dump_path());
     rows
 }
@@ -188,7 +218,7 @@ fn main() {
     let rows = measure_rows();
     for r in &rows {
         println!(
-            "{:<16} {:>9} clients: {:>10.3} ms  ({:>12.0} clients/sec)",
+            "{:<23} {:>9} clients: {:>10.3} ms  ({:>12.0} clients/sec)",
             r.backend, r.n_clients, r.elapsed_ms, r.clients_per_sec
         );
     }

@@ -62,8 +62,15 @@ const SCALE_CLIENTS_PER_SEC: &[(&str, u64, f64)] = &[
     // queueing model (~10× slower) fails these rows.
     ("des", 10_000, 36_463_214.1),
     ("des", 100_000, 31_511_655.1),
-    ("des_faulted_mid", 10_000, 14_564_626.9),
-    ("des_faulted_mid", 100_000, 13_354_888.1),
+    // The faulted floors assume the fused fault pre-pass (pop order built
+    // while the clients resolve); raised from 14.6/13.4 M clients/s when
+    // it replaced the copy-sort-merge of every row.
+    ("des_faulted_mid", 10_000, 17_498_272.0),
+    ("des_faulted_mid", 100_000, 17_813_134.9),
+    // Both scenarios of the faulted point, as `pb sweep` runs them: one
+    // draw of the fault classes serves the edge and the cloud side.
+    ("des_compare_faulted_mid", 10_000, 19_874_117.3),
+    ("des_compare_faulted_mid", 100_000, 22_114_162.6),
     // The recorded floors assume the flight recorder receives no
     // per-event DES trajectories (the exact loop they used to force ran
     // at ~1.4 M clients/s, which fails these rows). They were raised

@@ -3,30 +3,34 @@
 //! Per-client simulation state used to live in `Vec`s of structs and
 //! enums scattered across the fault machinery; at fleet sizes of 10⁵–10⁶
 //! clients those allocations and their pointer-chasing dominate a sweep
-//! point. [`FleetColumns`] keeps the per-client state as four flat
-//! buffers — phase, transfer attempts, fault-stream cursor (`u32`) and a
-//! fault-energy surcharge (`f64`) — that batched operations chunk over
-//! with a **deterministic chunk plan**: chunk boundaries are a pure
-//! function of the column length ([`FleetColumns::CHUNK`]-sized pieces),
-//! never of the worker count, so the persistent work-stealing pool can
-//! execute them in any order while integer reductions stay bit-identical
-//! across `RAYON_NUM_THREADS` ∈ {1, 2, N}.
+//! point. [`FleetColumns`] keeps the per-client state as flat buffers
+//! that batched operations chunk over with a **deterministic chunk
+//! plan**: chunk boundaries are a pure function of the column length
+//! ([`FleetColumns::CHUNK`]-sized pieces), never of the worker count, so
+//! the persistent work-stealing pool can execute them in any order while
+//! integer reductions stay bit-identical across `RAYON_NUM_THREADS` ∈
+//! {1, 2, N}.
 //!
-//! The columns never touch RNG streams: [`FleetColumns::draw`] consumes
-//! the point's fault stream in exactly the order the old
-//! `Vec<ClientClass>` population draw did (pinned by the fault-replay
-//! suite), and the cursor column merely *records* how many draws each
-//! client consumed, giving replay tooling a per-client offset into the
-//! fault stream.
+//! Every cycle the plan can strike fills one byte per client: its drawn
+//! class. [`FleetColumns::draw`] consumes the point's fault stream in
+//! exactly the order the old `Vec<ClientClass>` population draw did
+//! (pinned by the fault-replay suite), and one draw serves both sides of
+//! a comparison. Only the event-timeline backend resolves transfers per
+//! client row, so only it allocates the attempts column
+//! ([`FleetColumns::track_transfers`]) and the retry-energy column
+//! ([`FleetColumns::fill_retry_energy`]).
+//!
+//! The DES resolves each server's transfers into [`PopOrder`], which
+//! builds the event queue's pop order while the pre-pass runs.
 
 use crate::faults::{ClientClass, FaultPlan};
 use pb_telemetry::Telemetry;
 use pb_units::Joules;
-use rand::{Rng, RngCore};
+use rand::Rng;
 use rayon::prelude::*;
 
 /// Encodes a [`ClientClass`] into its phase-column representation.
-const fn encode(class: ClientClass) -> u32 {
+const fn encode(class: ClientClass) -> u8 {
     match class {
         ClientClass::Uploader => 0,
         ClientClass::Brownout => 1,
@@ -35,7 +39,7 @@ const fn encode(class: ClientClass) -> u32 {
 }
 
 /// Decodes a phase-column entry back into a [`ClientClass`].
-fn decode(phase: u32) -> ClientClass {
+fn decode(phase: u8) -> ClientClass {
     match phase {
         0 => ClientClass::Uploader,
         1 => ClientClass::Brownout,
@@ -50,7 +54,7 @@ fn decode(phase: u32) -> ClientClass {
 /// materializing per-client vectors.
 #[derive(Clone, Copy, Debug)]
 pub struct ClassView<'a> {
-    phase: &'a [u32],
+    phase: &'a [u8],
 }
 
 impl<'a> ClassView<'a> {
@@ -85,19 +89,17 @@ impl<'a> ClassView<'a> {
 /// One row per *active* client, in client-index order (the same order
 /// the fault stream is consumed in):
 ///
-/// * `phase` — the drawn [`ClientClass`], encoded;
+/// * `phase` — the drawn [`ClientClass`], one byte each;
 /// * `attempts` — transfer attempts resolved for the client (0 until its
 ///   transfer is resolved; 1 = first try succeeded; retries beyond the
-///   first show up as `attempts − 1`);
-/// * `cursor` — fault-stream draws the client consumed (classification
-///   plus transfer resolution), i.e. its offset width in the stream;
-/// * `energy` — per-client fault-energy surcharge in joules (filled by
-///   [`FleetColumns::fill_retry_energy`]).
+///   first show up as `attempts − 1`), empty until
+///   [`FleetColumns::track_transfers`];
+/// * `energy` — per-client fault-energy surcharge in joules, empty until
+///   [`FleetColumns::fill_retry_energy`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FleetColumns {
-    phase: Vec<u32>,
+    phase: Vec<u8>,
     attempts: Vec<u32>,
-    cursor: Vec<u32>,
     energy: Vec<f64>,
 }
 
@@ -114,31 +116,19 @@ impl FleetColumns {
     pub fn draw<R: Rng + ?Sized>(plan: &FaultPlan, active: usize, rng: &mut R) -> FleetColumns {
         let p_brown = plan.brownout.map_or(0.0, |b| b.probability);
         let p_sensor = plan.sensor_dropout;
-        let mut cols = FleetColumns {
-            phase: Vec::with_capacity(active),
-            attempts: vec![0; active],
-            cursor: Vec::with_capacity(active),
-            energy: vec![0.0; active],
-        };
-        for _ in 0..active {
-            let mut draws = 0u32;
-            let class = if p_brown > 0.0 && {
-                draws += 1;
-                rng.gen::<f64>() < p_brown
-            } {
-                ClientClass::Brownout
-            } else if p_sensor > 0.0 && {
-                draws += 1;
-                rng.gen::<f64>() < p_sensor
-            } {
-                ClientClass::SensorDropout
-            } else {
-                ClientClass::Uploader
-            };
-            cols.phase.push(encode(class));
-            cols.cursor.push(draws);
-        }
-        cols
+        let phase = (0..active)
+            .map(|_| {
+                let class = if p_brown > 0.0 && rng.gen::<f64>() < p_brown {
+                    ClientClass::Brownout
+                } else if p_sensor > 0.0 && rng.gen::<f64>() < p_sensor {
+                    ClientClass::SensorDropout
+                } else {
+                    ClientClass::Uploader
+                };
+                encode(class)
+            })
+            .collect();
+        FleetColumns { phase, ..FleetColumns::default() }
     }
 
     /// Number of clients (rows).
@@ -188,22 +178,24 @@ impl FleetColumns {
             .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
     }
 
-    /// Records the resolved transfer of client `i`: its attempt count
-    /// and how many further fault-stream draws the resolution consumed.
-    pub fn record_transfer(&mut self, i: usize, attempts: u64, draws: u32) {
+    /// Allocates the attempts column, every client at 0, so that
+    /// [`FleetColumns::record_transfer`] can fill it.
+    pub fn track_transfers(&mut self) {
+        self.attempts = vec![0; self.len()];
+    }
+
+    /// Records the resolved transfer of client `i`: its attempt count.
+    ///
+    /// # Panics
+    ///
+    /// Unless [`FleetColumns::track_transfers`] ran first.
+    pub fn record_transfer(&mut self, i: usize, attempts: u64) {
         self.attempts[i] = attempts.min(u32::MAX as u64) as u32;
-        self.cursor[i] = self.cursor[i].saturating_add(draws);
     }
 
     /// Transfer attempts recorded for client `i`.
     pub fn attempts(&self, i: usize) -> u32 {
         self.attempts[i]
-    }
-
-    /// Fault-stream draws client `i` consumed (classification plus
-    /// transfer resolution).
-    pub fn cursor(&self, i: usize) -> u32 {
-        self.cursor[i]
     }
 
     /// Per-client fault-energy surcharge.
@@ -266,106 +258,74 @@ impl FleetColumns {
     }
 }
 
-/// Columnar record of one server's *resolved* transfers: effective
-/// arrival time, local client index and attempt count as flat columns,
-/// filled in client order by the DES cycle's pre-pass.
+/// One DES server's delivered transfers in event-queue *pop* order —
+/// time ascending, ties by client — built while the fault pre-pass
+/// resolves the clients in client order.
 ///
-/// The DES replay partitions these rows into **clean** deliveries
-/// (first attempt succeeded, so the effective time *is* the client's
-/// sorted wake-up instant — the rows are already time-ordered) and
-/// **divergent** ones (retries pushed the client to a later, unordered
-/// instant). Merging the sorted clean run with the sorted divergent
-/// tail reproduces the DES event queue's exact `(time, push index)` pop
-/// order in O(m + d log d) for `d` divergent clients, instead of
-/// re-sorting all m rows.
-#[derive(Clone, Debug, Default)]
-pub struct TransferColumns {
-    t_eff: Vec<f64>,
-    client: Vec<u32>,
-    attempts: Vec<u32>,
+/// The pre-pass pushes arrivals in client order, so the queue's pop key
+/// `(time, push index)` is `(time, client)`. A transfer that got through
+/// on its first attempt keeps its wake-up instant, and wake-ups come
+/// sorted: such rows append straight onto the pop-order columns. A
+/// retried transfer lands later and out of order; it waits in a short
+/// tail that [`PopOrder::finish`] sorts and merges in from the back, in
+/// place. That costs O(m + d log d) for `d` retried rows of `m`.
+///
+/// The buffers are reused from server to server (per-worker scratch);
+/// [`PopOrder::clear`] empties them without freeing.
+#[derive(Debug, Default)]
+pub(crate) struct PopOrder {
+    times: Vec<f64>,
+    clients: Vec<u32>,
+    retried: Vec<(f64, u32)>,
 }
 
-impl TransferColumns {
-    /// An empty column set with room for `n` rows.
-    pub fn with_capacity(n: usize) -> Self {
-        TransferColumns {
-            t_eff: Vec::with_capacity(n),
-            client: Vec::with_capacity(n),
-            attempts: Vec::with_capacity(n),
+impl PopOrder {
+    /// Empties the columns, keeping their capacity.
+    pub(crate) fn clear(&mut self) {
+        self.times.clear();
+        self.clients.clear();
+        self.retried.clear();
+    }
+
+    /// Appends client `client`'s delivered transfer, which arrived at `t`
+    /// on attempt `attempts`. Clients come in increasing order, and a
+    /// first-attempt row's `t` is its wake-up instant, so those rows
+    /// arrive already sorted.
+    pub(crate) fn push(&mut self, t: f64, client: usize, attempts: u64) {
+        if attempts > 1 {
+            self.retried.push((t, client as u32));
+        } else {
+            debug_assert!(self.times.last().is_none_or(|&last| last <= t), "wake-ups out of order");
+            self.times.push(t);
+            self.clients.push(client as u32);
         }
     }
 
-    /// Appends a resolved transfer (rows arrive in client order).
-    pub fn push(&mut self, t_eff: f64, client: usize, attempts: u64) {
-        self.t_eff.push(t_eff);
-        self.client.push(client as u32);
-        self.attempts.push(attempts.min(u32::MAX as u64) as u32);
-    }
-
-    /// Number of resolved transfers.
-    pub fn len(&self) -> usize {
-        self.t_eff.len()
-    }
-
-    /// True when no transfer resolved.
-    pub fn is_empty(&self) -> bool {
-        self.t_eff.is_empty()
-    }
-
-    /// Rows whose effective time diverged from the arrival stream
-    /// (needed more than one attempt).
-    pub fn divergent_count(&self) -> usize {
-        self.attempts.iter().filter(|&&a| a > 1).count()
-    }
-
-    /// The rows as `(time, client)` pairs in *push* order (client
-    /// order) — what the DES oracle's event loop consumes, so its
-    /// sequence numbers match the historical per-client push loop.
-    #[cfg(test)]
-    pub(crate) fn push_order_entries(&self) -> Vec<(f64, usize)> {
-        self.t_eff.iter().zip(&self.client).map(|(&t, &c)| (t, c as usize)).collect()
-    }
-
-    /// The rows in event-queue *pop* order — time ascending, ties in push
-    /// order — as separate time and client columns (the shape the DES
-    /// replay consumes), via the clean/divergent merge described on
-    /// the type.
-    pub fn pop_order_columns(&self) -> (Vec<f64>, Vec<u32>) {
-        let m = self.len();
-        let mut clean: Vec<(f64, u32, u32)> = Vec::with_capacity(m);
-        let mut divergent: Vec<(f64, u32, u32)> = Vec::new();
-        for i in 0..m {
-            let row = (self.t_eff[i], i as u32, self.client[i]);
-            if self.attempts[i] > 1 {
-                divergent.push(row);
+    /// Merges the retried tail into the first-attempt run and returns
+    /// the pop-order time and client columns.
+    pub(crate) fn finish(&mut self) -> (&[f64], &[u32]) {
+        let order = |a: (f64, u32), b: (f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        self.retried.sort_unstable_by(|&a, &b| order(a, b));
+        let (mut i, mut j) = (self.times.len(), self.retried.len());
+        self.times.resize(i + j, 0.0);
+        self.clients.resize(i + j, 0);
+        // Fill from the back: the larger head of the two runs goes last.
+        // Once the tail is spent, the rest of the first run is in place.
+        while j > 0 {
+            let (t, c) = self.retried[j - 1];
+            let k = i + j - 1;
+            if i > 0 && order((self.times[i - 1], self.clients[i - 1]), (t, c)).is_gt() {
+                self.times[k] = self.times[i - 1];
+                self.clients[k] = self.clients[i - 1];
+                i -= 1;
             } else {
-                clean.push(row);
+                self.times[k] = t;
+                self.clients[k] = c;
+                j -= 1;
             }
         }
-        // Clean rows inherit the arrival sort; only the divergent tail
-        // needs ordering. The sort key (time, push index) matches the
-        // event queue's (time, seq) tie-break exactly.
-        divergent.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut times: Vec<f64> = Vec::with_capacity(m);
-        let mut clients: Vec<u32> = Vec::with_capacity(m);
-        let (mut ci, mut di) = (0usize, 0usize);
-        while ci < clean.len() || di < divergent.len() {
-            let take_clean = match (clean.get(ci), divergent.get(di)) {
-                (Some(c), Some(d)) => c.0.total_cmp(&d.0).then(c.1.cmp(&d.1)).is_lt(),
-                (Some(_), None) => true,
-                _ => false,
-            };
-            let (t, _, client) = if take_clean {
-                ci += 1;
-                clean[ci - 1]
-            } else {
-                di += 1;
-                divergent[di - 1]
-            };
-            times.push(t);
-            clients.push(client);
-        }
-        (times, clients)
+        self.retried.clear();
+        (&self.times, &self.clients)
     }
 }
 
@@ -382,49 +342,12 @@ pub(crate) fn publish_columns(telemetry: &Telemetry, columns: &FleetColumns) {
     }
 }
 
-/// Wraps an RNG and counts the draws passing through, so per-client
-/// fault-stream consumption can be recorded into the cursor column
-/// without touching the stream itself.
-pub(crate) struct CountingRng<'a, R: RngCore + ?Sized> {
-    inner: &'a mut R,
-    draws: u32,
-}
-
-impl<'a, R: RngCore + ?Sized> CountingRng<'a, R> {
-    /// Wraps `inner`, starting the draw count at zero.
-    pub(crate) fn new(inner: &'a mut R) -> Self {
-        CountingRng { inner, draws: 0 }
-    }
-
-    /// Draws counted so far.
-    pub(crate) fn draws(&self) -> u32 {
-        self.draws
-    }
-}
-
-impl<R: RngCore + ?Sized> RngCore for CountingRng<'_, R> {
-    fn next_u32(&mut self) -> u32 {
-        self.draws = self.draws.saturating_add(1);
-        self.inner.next_u32()
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.draws = self.draws.saturating_add(1);
-        self.inner.next_u64()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.draws = self.draws.saturating_add(1);
-        self.inner.fill_bytes(dest)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults::Brownout;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn mixed_plan() -> FaultPlan {
         FaultPlan {
@@ -437,9 +360,11 @@ mod tests {
     #[test]
     fn draw_matches_row_wise_reference() {
         // The columnar draw must consume the fault stream exactly like
-        // the historical per-client enum draw.
+        // the historical per-client enum draw: same classes, and the
+        // stream left at the same position.
         let plan = mixed_plan();
-        let cols = FleetColumns::draw(&plan, 500, &mut StdRng::seed_from_u64(9));
+        let mut drawn = StdRng::seed_from_u64(9);
+        let cols = FleetColumns::draw(&plan, 500, &mut drawn);
         let mut rng = StdRng::seed_from_u64(9);
         let reference: Vec<ClientClass> = (0..500)
             .map(|_| {
@@ -456,22 +381,22 @@ mod tests {
         for (i, want) in reference.iter().enumerate() {
             assert_eq!(cols.class(i), *want, "client {i}");
         }
-        // Cursor: brown-outs consumed one draw, everyone else two.
-        for i in 0..cols.len() {
-            let want = if cols.class(i) == ClientClass::Brownout { 1 } else { 2 };
-            assert_eq!(cols.cursor(i), want, "client {i}");
-        }
+        assert_eq!(drawn.next_u64(), rng.next_u64(), "stream positions diverged");
     }
 
     #[test]
     fn zero_probabilities_consume_no_rng() {
-        use rand::RngCore;
         let mut rng = StdRng::seed_from_u64(9);
         let before = rng.clone().next_u64();
         let cols = FleetColumns::draw(&FaultPlan::NONE, 100, &mut rng);
         assert_eq!(rng.next_u64(), before, "no RNG consumed");
         assert!(cols.classes().iter().all(|c| c == ClientClass::Uploader));
-        assert!((0..cols.len()).all(|i| cols.cursor(i) == 0));
+        // A plan that can only strike transfers draws no class either.
+        let mut rng = StdRng::seed_from_u64(9);
+        let lossy = FaultPlan { packet_loss: 0.5, ..FaultPlan::NONE };
+        let cols = FleetColumns::draw(&lossy, 100, &mut rng);
+        assert_eq!(rng.next_u64(), before, "no RNG consumed by a transfer-only plan");
+        assert_eq!(cols.len(), 100);
     }
 
     #[test]
@@ -513,14 +438,16 @@ mod tests {
     #[test]
     fn transfer_records_flow_into_retries_and_energy() {
         let mut cols = FleetColumns::draw(&FaultPlan::NONE, 4, &mut StdRng::seed_from_u64(1));
-        cols.record_transfer(0, 1, 0); // clean first try
-        cols.record_transfer(1, 3, 5); // two retries, five stream draws
-        cols.record_transfer(2, 4, 6);
+        assert_eq!(cols.total_attempts(), 0, "no attempts column before tracking");
+        cols.track_transfers();
+        cols.record_transfer(0, 1); // clean first try
+        cols.record_transfer(1, 3); // two retries
+        cols.record_transfer(2, 4);
         // Client 3 never resolves (e.g. brown-out): attempts stay 0.
         assert_eq!(cols.attempts(1), 3);
-        assert_eq!(cols.cursor(1), 5);
         assert_eq!(cols.total_retries(), 5, "two retries plus three, none elsewhere");
         assert_eq!(cols.total_attempts(), 8);
+        assert_eq!(cols.energy_total(), Joules::ZERO, "no energy column before filling");
         cols.fill_retry_energy(Joules(10.0));
         assert_eq!(cols.energy(0), 0.0);
         assert_eq!(cols.energy(1), 20.0);
@@ -529,58 +456,58 @@ mod tests {
         assert_eq!(cols.energy_total(), Joules(50.0));
     }
 
-    #[test]
-    fn counting_rng_is_transparent() {
-        let mut a = StdRng::seed_from_u64(5);
-        let mut b = StdRng::seed_from_u64(5);
-        let mut counted = CountingRng::new(&mut a);
-        let x: f64 = counted.gen();
-        let y: f64 = counted.gen();
-        assert!(counted.draws() >= 2);
-        assert_eq!((x, y), (b.gen::<f64>(), b.gen::<f64>()));
-        // The wrapped stream continues where the wrapper left off.
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+    /// Pushes `rows` (push order) and returns the finished pop order as
+    /// `(time, client)` pairs.
+    fn pop_order(rows: &[(f64, usize, u64)]) -> Vec<(f64, usize)> {
+        let mut order = PopOrder::default();
+        for &(t, client, attempts) in rows {
+            order.push(t, client, attempts);
+        }
+        let (times, clients) = order.finish();
+        assert_eq!(times.len(), rows.len());
+        times.iter().zip(clients).map(|(&t, &c)| (t, c as usize)).collect()
     }
 
-    /// [`TransferColumns::pop_order_columns`] as `(time, client)` pairs.
-    fn pop_order_pairs(cols: &TransferColumns) -> Vec<(f64, usize)> {
-        let (times, clients) = cols.pop_order_columns();
-        times.into_iter().zip(clients).map(|(t, c)| (t, c as usize)).collect()
+    /// A stable sort of the push-order rows by time: ties stay in push
+    /// order, which is the event queue's tie-break.
+    fn stable_sorted(rows: &[(f64, usize, u64)]) -> Vec<(f64, usize)> {
+        let mut want: Vec<(f64, usize)> = rows.iter().map(|&(t, c, _)| (t, c)).collect();
+        want.sort_by(|a, b| a.0.total_cmp(&b.0));
+        want
     }
 
     #[test]
-    fn pop_order_merge_matches_a_stable_sort() {
-        // Clean rows keep a sorted time column; divergent rows scatter.
-        // The merge must equal a stable sort of all rows by time (stable
-        // sort preserves push order at ties — the event-queue tie-break).
-        let mut cols = TransferColumns::with_capacity(8);
+    fn pop_order_matches_a_stable_sort() {
+        // First-attempt rows keep a sorted time column; retried rows
+        // scatter later.
         let mut rng = StdRng::seed_from_u64(3);
         let mut t = 0.0;
-        let mut reference: Vec<(f64, usize)> = Vec::new();
+        let mut rows = Vec::new();
         for client in 0..200usize {
             t += rng.gen::<f64>();
-            let retried = rng.gen::<f64>() < 0.3;
-            let (t_eff, attempts) = if retried { (t + 40.0 * rng.gen::<f64>(), 3) } else { (t, 1) };
-            cols.push(t_eff, client, attempts);
-            reference.push((t_eff, client));
+            if rng.gen::<f64>() < 0.3 {
+                rows.push((t + 40.0 * rng.gen::<f64>(), client, 3));
+            } else {
+                rows.push((t, client, 1));
+            }
         }
-        assert_eq!(cols.push_order_entries(), reference);
-        reference.sort_by(|a, b| a.0.total_cmp(&b.0));
-        assert_eq!(pop_order_pairs(&cols), reference);
-        assert!(cols.divergent_count() > 10);
-        assert_eq!(cols.len(), 200);
-        assert!(!cols.is_empty());
+        assert_eq!(pop_order(&rows), stable_sorted(&rows));
     }
 
     #[test]
-    fn all_clean_pop_order_is_push_order() {
-        let mut cols = TransferColumns::with_capacity(4);
-        for (i, t) in [1.0, 2.5, 7.0].into_iter().enumerate() {
-            cols.push(t, i, 1);
-        }
-        assert_eq!(pop_order_pairs(&cols), cols.push_order_entries());
-        assert_eq!(cols.divergent_count(), 0);
-        assert_eq!(TransferColumns::default().pop_order_columns(), (vec![], vec![]));
+    fn pop_order_edge_cases() {
+        let clean = [(1.0, 0, 1), (2.5, 1, 1), (7.0, 2, 1)];
+        assert_eq!(pop_order(&clean), stable_sorted(&clean));
+        let retried = [(9.0, 0, 2), (3.0, 4, 3), (3.0, 2, 2)];
+        assert_eq!(pop_order(&retried), [(3.0, 2), (3.0, 4), (9.0, 0)]);
+        assert!(pop_order(&[]).is_empty());
+        // Reuse after `clear` starts from nothing.
+        let mut order = PopOrder::default();
+        order.push(5.0, 0, 2);
+        let _ = order.finish();
+        order.clear();
+        order.push(1.0, 3, 1);
+        assert_eq!(order.finish(), (&[1.0][..], &[3u32][..]));
     }
 
     #[test]
@@ -590,5 +517,54 @@ mod tests {
         assert_eq!(cols.class_counts(), (0, 0));
         assert_eq!(cols.total_retries(), 0);
         assert_eq!(cols.chunk_count(), 0);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(proptest::test_runner::Config::with_cases(128))]
+            /// The fused pop order equals a stable sort by time of the
+            /// push-order rows, on an integer lattice where first-attempt
+            /// and retried rows tie at equal times, with the buffers
+            /// reused across two servers as the pre-pass reuses them.
+            #[test]
+            fn fused_pop_order_is_a_stable_sort_by_time_and_client(
+                seed in 0u64..1_000_000,
+                n in 0usize..300,
+                grid in 1u32..40,
+                retried in 0.0f64..1.0,
+                dropped in 0.0f64..0.5,
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut order = PopOrder::default();
+                for _server in 0..2 {
+                    let mut wake: Vec<f64> =
+                        (0..n).map(|_| f64::from(rng.gen_range(0..grid))).collect();
+                    wake.sort_by(f64::total_cmp);
+                    let mut rows = Vec::new();
+                    for (client, &t) in wake.iter().enumerate() {
+                        if rng.gen::<f64>() < dropped {
+                            continue;
+                        }
+                        if rng.gen::<f64>() < retried {
+                            let late = f64::from(rng.gen_range(0..grid));
+                            rows.push((t + late, client, rng.gen_range(2u64..5)));
+                        } else {
+                            rows.push((t, client, 1));
+                        }
+                    }
+                    order.clear();
+                    for &(t, client, attempts) in &rows {
+                        order.push(t, client, attempts);
+                    }
+                    let (times, clients) = order.finish();
+                    let got: Vec<(f64, usize)> =
+                        times.iter().zip(clients).map(|(&t, &c)| (t, c as usize)).collect();
+                    prop_assert_eq!(got, stable_sorted(&rows));
+                }
+            }
+        }
     }
 }

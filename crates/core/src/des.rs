@@ -10,16 +10,17 @@
 //! so the slotted and asynchronous designs can be compared head-to-head
 //! (`ablation_async` binary).
 
-use crate::columns::{ClassView, TransferColumns};
+use crate::columns::{ClassView, PopOrder};
 use crate::faults::{
     emit_delivered, emit_sample, resolve_client, FaultPlan, Resolution, TransferTrace,
 };
 use crate::server::ServerModel;
 use pb_telemetry::trace::{trace_id, SpanCtx, HOP_ARRIVAL, HOP_PROCESS, HOP_TRANSFER};
-use pb_telemetry::{Fields, Schema, Slot, Telemetry};
+use pb_telemetry::{Fields, Gauge, Histogram, Schema, Slot, Telemetry};
 use pb_units::{Joules, Seconds, Watts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 
 /// Outcome of one asynchronous cycle.
 #[derive(Clone, Debug)]
@@ -227,130 +228,25 @@ pub fn simulate_async_cycle_with<R: Rng + ?Sized>(
     rng: &mut R,
     run: &DesRun<'_>,
 ) -> DesRunReport {
-    assert!(server.max_parallel > 0, "need at least one client per slot");
-    let cycle = server.cycle.value();
-    let mut arrivals: Vec<f64> = (0..n_clients).map(|_| rng.gen_range(0.0..cycle)).collect();
-    sort_arrival_times(&mut arrivals);
-
-    let telemetry = run.telemetry;
-    let tag = run.causal.filter(|_| telemetry.tracing_active());
-    let mut attempts = n_clients as u64;
-    let mut retries = 0u64;
-    let mut fallbacks = 0u64;
-    // Per local client: the span its network hops chain under, plus the
-    // delivered set's attempt counts for the terminal spans emitted
-    // after the replay.
-    let mut links: Vec<Option<SpanCtx>> = Vec::new();
-    let mut delivered_tags: Vec<(usize, u64, u64)> = Vec::new();
-    // Resolved transfers as flat columns (effective time, client, attempt
-    // count), built only when faults can divert clients. Otherwise the
-    // sorted arrivals are the delivered stream, client i at position i.
-    let mut resolved = run.faults.map(|_| TransferColumns::with_capacity(n_clients));
-    if run.faults.is_some() || tag.is_some() {
-        attempts = 0;
-        let mut faults = run.faults.map(|f| {
-            assert_eq!(f.classes.len(), n_clients, "one class per client");
-            (f, StdRng::seed_from_u64(f.seed))
-        });
-        if tag.is_some() {
-            links = vec![None; n_clients];
-        }
-        for (client, &t) in arrivals.iter().enumerate() {
-            let tc = tag.map(|dt| {
-                let global = (dt.base + client) as u64;
-                TransferTrace {
-                    client: global,
-                    trace: trace_id(dt.point_seed, global),
-                    retry_energy_j: dt.retry_energy_j,
-                    fallback_energy_j: dt.fallback_energy_j,
-                }
-            });
-            let outcome = match faults.as_mut() {
-                Some((f, frng)) => {
-                    let class = f.classes.get(client);
-                    resolve_client(f.plan, class, Seconds(t), frng, telemetry, tc.as_ref())
-                }
-                None => {
-                    if let Some(tc) = &tc {
-                        emit_sample(telemetry, t, tc.trace, tc.client, "uploader");
-                    }
-                    Resolution::Delivered { attempts: 1, at: Seconds(t) }
-                }
-            };
-            attempts += outcome.attempts();
-            retries += outcome.attempts().saturating_sub(1);
-            match outcome {
-                Resolution::Dropped => {}
-                Resolution::FellBack { .. } => fallbacks += 1,
-                Resolution::Delivered { attempts: a, at } => {
-                    if let Some(cols) = resolved.as_mut() {
-                        cols.push(at.value(), client, a);
-                    }
-                    if let Some(tc) = &tc {
-                        // Without faults there is no attempt chain: the
-                        // hops hang off the root.
-                        links[client] = Some(if run.faults.is_some() {
-                            SpanCtx::attempt(tc.trace, a as u32)
-                        } else {
-                            SpanCtx::root(tc.trace)
-                        });
-                        delivered_tags.push((client, tc.trace, a));
-                    }
-                }
-            }
-        }
-    }
-    let delivered = resolved.as_ref().map_or(n_clients, TransferColumns::len) as u64;
-    // The replay needs entries in event-queue *pop* order — (time, push
-    // index) — which the clean/divergent merge produces in O(m + d log d)
-    // for d divergent clients.
-    let pop_order = resolved.as_ref().map(TransferColumns::pop_order_columns);
-    let (times, clients) = match &pop_order {
-        None => (arrivals.as_slice(), None),
-        Some((times, clients)) => (times.as_slice(), Some(clients.as_slice())),
-    };
-    let tagged_links = tag.map(|_| links.as_slice());
-    let out = replay_core(n_clients, times, clients, server, run.memo, telemetry, tagged_links);
-    if let Some(dt) = tag {
-        for &(client, tid, a) in &delivered_tags {
-            let global = (dt.base + client) as u64;
-            emit_delivered(telemetry, out.completion[client], tid, global, a, dt.deliver_energy_j);
-        }
-    }
-
-    let horizon = out.last_time.max(cycle);
-    let server_energy = energy_over(server, horizon, out.receive_busy, out.process_busy);
-    // Latency from the *original* wake-up instant, over delivered clients
-    // only (the others never complete on the server), in client order: a
-    // sum first, then a 0-seeded max.
-    let mut lat_sum = 0.0f64;
-    let mut max_latency = 0.0f64;
-    for (&c, a) in out.completion.iter().zip(&arrivals) {
-        if c > 0.0 {
-            let l = c - a;
-            lat_sum += l;
-            max_latency = max_latency.max(l);
-        }
-    }
-    let mean_latency = if delivered > 0 { lat_sum / delivered as f64 } else { 0.0 };
-
-    flush_telemetry(telemetry, n_clients, &out, horizon, server_energy);
-
+    let metrics = DesMetrics::resolve(run.telemetry);
+    let (s, (mean_latency, max_latency)) =
+        run_server(n_clients, server, rng, run, metrics.as_ref(), |done| done.latency());
+    count_replayed(run.telemetry, s.delivered);
     DesRunReport {
         report: AsyncCycleReport {
             n_clients,
-            horizon: Seconds(horizon),
-            server_energy,
-            receive_busy: Seconds(out.receive_busy),
-            process_busy: Seconds(out.process_busy),
+            horizon: Seconds(s.horizon),
+            server_energy: s.server_energy,
+            receive_busy: Seconds(s.receive_busy),
+            process_busy: Seconds(s.process_busy),
             mean_latency: Seconds(mean_latency),
             max_latency: Seconds(max_latency),
-            peak_queue: out.peak_queue,
+            peak_queue: s.peak_queue,
         },
-        attempts,
-        retries,
-        delivered,
-        fallbacks,
+        attempts: s.attempts,
+        retries: s.retries,
+        delivered: s.delivered,
+        fallbacks: s.fallbacks,
     }
 }
 
@@ -372,18 +268,206 @@ pub struct DesRunReport {
     pub fallbacks: u64,
 }
 
+/// What one server's cycle settles, without the per-client read-out.
+pub(crate) struct ServerCycle {
+    pub(crate) server_energy: Joules,
+    horizon: f64,
+    receive_busy: f64,
+    process_busy: f64,
+    peak_queue: usize,
+    pub(crate) attempts: u64,
+    pub(crate) retries: u64,
+    pub(crate) delivered: u64,
+    pub(crate) fallbacks: u64,
+}
+
+/// A finished server cycle's per-client columns, lent to the caller's
+/// read-out while they sit in the worker's scratch.
+pub(crate) struct Finished<'a> {
+    /// The sorted wake-up instants; client `i` woke at `arrivals[i]`.
+    arrivals: &'a [f64],
+    /// Client id by pop position, or `None` when position `i` is client
+    /// `i` (no client was diverted).
+    clients: Option<&'a [u32]>,
+    /// Process-finish instant by pop position.
+    proc_end: &'a [f64],
+}
+
+impl Finished<'_> {
+    /// Each client's completion instant in client order, 0 for a client
+    /// that never reached the server. Built only where it is read: the
+    /// latency read-out and the tagged terminal spans.
+    fn completion(&self) -> Cow<'_, [f64]> {
+        match self.clients {
+            None => Cow::Borrowed(self.proc_end),
+            Some(clients) => {
+                let mut completion = vec![0.0f64; self.arrivals.len()];
+                for (&c, &t) in clients.iter().zip(self.proc_end) {
+                    completion[c as usize] = t;
+                }
+                Cow::Owned(completion)
+            }
+        }
+    }
+
+    /// Mean and worst latency from the *original* wake-up instant, over
+    /// delivered clients only (the others never complete on the server),
+    /// in client order: a sum first, then a 0-seeded max.
+    fn latency(&self) -> (f64, f64) {
+        let completion = self.completion();
+        let mut lat_sum = 0.0f64;
+        let mut max_latency = 0.0f64;
+        for (&c, a) in completion.iter().zip(self.arrivals) {
+            if c > 0.0 {
+                let l = c - a;
+                lat_sum += l;
+                max_latency = max_latency.max(l);
+            }
+        }
+        let delivered = self.proc_end.len();
+        let mean = if delivered > 0 { lat_sum / delivered as f64 } else { 0.0 };
+        (mean, max_latency)
+    }
+}
+
+/// [`simulate_async_cycle_with`] without the report: runs one server's
+/// cycle in the worker's scratch, hands its finished columns to
+/// `read_out`, and records the per-server metrics through `metrics`. The
+/// event counters are the caller's to add ([`count_replayed`]), once per
+/// point.
+pub(crate) fn run_server<R: Rng + ?Sized, T>(
+    n_clients: usize,
+    server: &ServerModel,
+    rng: &mut R,
+    run: &DesRun<'_>,
+    metrics: Option<&DesMetrics>,
+    read_out: impl FnOnce(&Finished<'_>) -> T,
+) -> (ServerCycle, T) {
+    assert!(server.max_parallel > 0, "need at least one client per slot");
+    let cycle = server.cycle.value();
+    DES_SCRATCH.with(|scratch| {
+        let mut scratch = scratch.borrow_mut();
+        let DesScratch { arrivals, pop, replay } = &mut *scratch;
+        arrivals.clear();
+        arrivals.extend((0..n_clients).map(|_| rng.gen_range(0.0..cycle)));
+        sort_arrival_times(arrivals);
+
+        let telemetry = run.telemetry;
+        let tag = run.causal.filter(|_| telemetry.tracing_active());
+        let mut attempts = n_clients as u64;
+        let mut retries = 0u64;
+        let mut fallbacks = 0u64;
+        // Per local client: the span its network hops chain under, plus
+        // the delivered set's attempt counts for the terminal spans
+        // emitted after the replay.
+        let mut links: Vec<Option<SpanCtx>> = Vec::new();
+        let mut delivered_tags: Vec<(usize, u64, u64)> = Vec::new();
+        // The fused pre-pass: under faults, each delivered transfer goes
+        // straight into the pop-order columns. Otherwise the sorted
+        // arrivals are the delivered stream, client i at position i.
+        pop.clear();
+        if run.faults.is_some() || tag.is_some() {
+            attempts = 0;
+            let mut faults = run.faults.map(|f| {
+                assert_eq!(f.classes.len(), n_clients, "one class per client");
+                (f, StdRng::seed_from_u64(f.seed))
+            });
+            if tag.is_some() {
+                links = vec![None; n_clients];
+            }
+            for (client, &t) in arrivals.iter().enumerate() {
+                let tc = tag.map(|dt| {
+                    let global = (dt.base + client) as u64;
+                    TransferTrace {
+                        client: global,
+                        trace: trace_id(dt.point_seed, global),
+                        retry_energy_j: dt.retry_energy_j,
+                        fallback_energy_j: dt.fallback_energy_j,
+                    }
+                });
+                let outcome = match faults.as_mut() {
+                    Some((f, frng)) => {
+                        let class = f.classes.get(client);
+                        resolve_client(f.plan, class, Seconds(t), frng, telemetry, tc.as_ref())
+                    }
+                    None => {
+                        if let Some(tc) = &tc {
+                            emit_sample(telemetry, t, tc.trace, tc.client, "uploader");
+                        }
+                        Resolution::Delivered { attempts: 1, at: Seconds(t) }
+                    }
+                };
+                attempts += outcome.attempts();
+                retries += outcome.attempts().saturating_sub(1);
+                match outcome {
+                    Resolution::Dropped => {}
+                    Resolution::FellBack { .. } => fallbacks += 1,
+                    Resolution::Delivered { attempts: a, at } => {
+                        if run.faults.is_some() {
+                            pop.push(at.value(), client, a);
+                        }
+                        if let Some(tc) = &tc {
+                            // Without faults there is no attempt chain:
+                            // the hops hang off the root.
+                            links[client] = Some(if run.faults.is_some() {
+                                SpanCtx::attempt(tc.trace, a as u32)
+                            } else {
+                                SpanCtx::root(tc.trace)
+                            });
+                            delivered_tags.push((client, tc.trace, a));
+                        }
+                    }
+                }
+            }
+        }
+        let (times, clients) = match run.faults {
+            None => (arrivals.as_slice(), None),
+            Some(_) => {
+                let (times, clients) = pop.finish();
+                (times, Some(clients))
+            }
+        };
+        let delivered = times.len() as u64;
+        let tagged_links = tag.map(|_| links.as_slice());
+        let out = replay_core(times, clients, server, run.memo, telemetry, tagged_links, replay);
+        let done = Finished { arrivals, clients, proc_end: &replay.proc_end };
+        if let Some(dt) = tag {
+            let completion = done.completion();
+            for &(client, tid, a) in &delivered_tags {
+                let global = (dt.base + client) as u64;
+                emit_delivered(telemetry, completion[client], tid, global, a, dt.deliver_energy_j);
+            }
+        }
+
+        let horizon = out.last_time.max(cycle);
+        let server_energy = energy_over(server, horizon, out.receive_busy, out.process_busy);
+        let value = read_out(&done);
+        flush_telemetry(telemetry, metrics, n_clients, &out, horizon, server_energy);
+        let settled = ServerCycle {
+            server_energy,
+            horizon,
+            receive_busy: out.receive_busy,
+            process_busy: out.process_busy,
+            peak_queue: out.peak_queue,
+            attempts,
+            retries,
+            delivered,
+            fallbacks,
+        };
+        (settled, value)
+    })
+}
+
 /// What the event loop measures; energy and latency are derived by the
 /// callers.
 struct LoopOutcome {
     receive_busy: f64,
     process_busy: f64,
-    /// Per-client completion instant (0 when the client never completed).
-    completion: Vec<f64>,
     peak_queue: usize,
     last_time: f64,
+    /// Participating clients; each one also finished its transfer and
+    /// was processed exactly once.
     n_arrivals: u64,
-    n_transfers: u64,
-    n_processed: u64,
 }
 
 /// The slotted accounting's energy model over an asynchronous horizon:
@@ -397,12 +481,10 @@ fn energy_over(server: &ServerModel, horizon: f64, receive_busy: f64, process_bu
         + process_delta * Seconds(process_busy)
 }
 
-/// Per-worker scratch for [`replay_core`]: the intermediate per-entry
-/// columns are reused across the thousands of servers a sweep point
-/// fans over one worker, so the replay allocates nothing but its
-/// completion column. Every cell is rewritten before it is read (the
-/// columns are rebuilt front to back each call), so reuse cannot leak
-/// state between servers.
+/// Scratch for [`replay_core`]: the per-entry columns it builds. After a
+/// replay, `proc_end` holds each pop position's process-finish instant.
+/// Every cell is rewritten before it is read (the columns are rebuilt
+/// front to back each call), so reuse cannot leak state between servers.
 #[derive(Default)]
 struct ReplayScratch {
     finish: Vec<f64>,
@@ -410,9 +492,21 @@ struct ReplayScratch {
     queued_starts: Vec<f64>,
 }
 
+/// Per-worker scratch for [`run_server`]: the arrival draw, the fused
+/// pre-pass's pop-order columns and the replay's columns are reused
+/// across the thousands of servers a sweep point fans over one worker,
+/// so an untagged server cycle on the engine's path allocates nothing
+/// in steady state.
+#[derive(Default)]
+struct DesScratch {
+    arrivals: Vec<f64>,
+    pop: PopOrder,
+    replay: ReplayScratch,
+}
+
 thread_local! {
-    static REPLAY_SCRATCH: std::cell::RefCell<ReplayScratch> =
-        std::cell::RefCell::new(ReplayScratch::default());
+    static DES_SCRATCH: std::cell::RefCell<DesScratch> =
+        std::cell::RefCell::new(DesScratch::default());
     static SORT_SCRATCH: std::cell::RefCell<(Vec<u32>, Vec<f64>)> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
@@ -518,111 +612,86 @@ fn sort_arrival_times(times: &mut [f64]) {
 /// finished columns then feed [`emit_trajectories`], which rebuilds the
 /// simulation's per-event records in its exact pop order; the
 /// per-client loop itself never branches on telemetry.
+///
+/// The process-finish column is left in `scratch.proc_end`, by pop
+/// position, for the caller's read-out.
 fn replay_core(
-    n_clients: usize,
     times: &[f64],
     clients: Option<&[u32]>,
     server: &ServerModel,
     memo: Option<&ShapeMemo>,
     telemetry: &Telemetry,
     links: Option<&[Option<SpanCtx>]>,
+    scratch: &mut ReplayScratch,
 ) -> LoopOutcome {
     let m = times.len();
     let transfer = server.receive_duration.value();
     let process = server.process_duration.value();
     let cap = server.max_parallel;
+    debug_assert!(clients.is_none_or(|c| c.len() == m), "one client id per entry");
 
-    REPLAY_SCRATCH.with(|scratch| {
-        let mut scratch = scratch.borrow_mut();
-        let ReplayScratch { finish, proc_end, queued_starts } = &mut *scratch;
-        finish.clear();
-        proc_end.clear();
-        queued_starts.clear();
-        finish.reserve(m);
-        proc_end.reserve(m);
+    let ReplayScratch { finish, proc_end, queued_starts } = scratch;
+    finish.clear();
+    proc_end.clear();
+    queued_starts.clear();
+    finish.reserve(m);
+    proc_end.reserve(m);
 
-        let mut receive_busy = 0.0f64;
-        let mut peak_queue = 0usize;
-        // `released` counts the prefix of queued clients whose uplink
-        // handoff already happened (starts are monotone).
-        let mut released = 0usize;
+    let mut receive_busy = 0.0f64;
+    let mut peak_queue = 0usize;
+    // `released` counts the prefix of queued clients whose uplink
+    // handoff already happened (starts are monotone).
+    let mut released = 0usize;
 
-        // Current receive-busy period.
-        let mut busy_begin = 0.0f64;
-        let mut busy_end = 0.0f64;
-        let mut prev_proc_end = 0.0f64;
+    // Current receive-busy period.
+    let mut busy_begin = 0.0f64;
+    let mut busy_end = 0.0f64;
+    let mut prev_proc_end = 0.0f64;
 
-        for i in 0..m {
-            let a = times[i];
-            debug_assert!(i == 0 || times[i - 1] <= a, "replay entries must be in pop order");
-            let (start, q) =
-                if i >= cap && finish[i - cap] >= a { (finish[i - cap], true) } else { (a, false) };
-            let f = start + transfer;
-            finish.push(f);
-            if q {
-                queued_starts.push(start);
-                while released < queued_starts.len() && queued_starts[released] < a {
-                    released += 1;
-                }
-                peak_queue = peak_queue.max(queued_starts.len() - released);
+    for i in 0..m {
+        let a = times[i];
+        debug_assert!(i == 0 || times[i - 1] <= a, "replay entries must be in pop order");
+        let (start, q) =
+            if i >= cap && finish[i - cap] >= a { (finish[i - cap], true) } else { (a, false) };
+        let f = start + transfer;
+        finish.push(f);
+        if q {
+            queued_starts.push(start);
+            while released < queued_starts.len() && queued_starts[released] < a {
+                released += 1;
             }
-            if i == 0 {
-                busy_begin = start;
-                busy_end = f;
-            } else if start > busy_end {
-                receive_busy += busy_end - busy_begin;
-                busy_begin = start;
-                busy_end = f;
-            } else {
-                busy_end = f;
-            }
-            // The loop's "CPU idle at this transfer-finish" test.
-            let free = !(i > 0 && prev_proc_end > f);
-            let cpu_start = if free { f } else { prev_proc_end };
-            prev_proc_end = cpu_start + process;
-            proc_end.push(prev_proc_end);
+            peak_queue = peak_queue.max(queued_starts.len() - released);
         }
-        if m > 0 {
+        if i == 0 {
+            busy_begin = start;
+            busy_end = f;
+        } else if start > busy_end {
             receive_busy += busy_end - busy_begin;
+            busy_begin = start;
+            busy_end = f;
+        } else {
+            busy_end = f;
         }
+        // The loop's "CPU idle at this transfer-finish" test.
+        let free = !(i > 0 && prev_proc_end > f);
+        let cpu_start = if free { f } else { prev_proc_end };
+        prev_proc_end = cpu_start + process;
+        proc_end.push(prev_proc_end);
+    }
+    if m > 0 {
+        receive_busy += busy_end - busy_begin;
+    }
 
-        let process_busy = match memo {
-            Some(memo) => memo.busy_for(m),
-            None => repeated_sum(process, m),
-        };
-        let last_time = if m > 0 { proc_end[m - 1] } else { 0.0 };
-        if telemetry.trajectories_recording() || links.is_some() {
-            emit_trajectories(times, clients, finish, proc_end, cap, telemetry, links);
-        }
+    let process_busy = match memo {
+        Some(memo) => memo.busy_for(m),
+        None => repeated_sum(process, m),
+    };
+    let last_time = if m > 0 { proc_end[m - 1] } else { 0.0 };
+    if telemetry.trajectories_recording() || links.is_some() {
+        emit_trajectories(times, clients, finish, proc_end, cap, telemetry, links);
+    }
 
-        let completion = match clients {
-            None => {
-                // Pop position i is client i: the process-finish column
-                // *is* the completion column.
-                debug_assert_eq!(n_clients, m, "positional replay needs one entry per client");
-                proc_end.clone()
-            }
-            Some(cl) => {
-                debug_assert_eq!(cl.len(), m, "one client id per entry");
-                let mut completion = vec![0.0f64; n_clients];
-                for (i, &c) in cl.iter().enumerate() {
-                    completion[c as usize] = proc_end[i];
-                }
-                completion
-            }
-        };
-
-        LoopOutcome {
-            receive_busy,
-            process_busy,
-            completion,
-            peak_queue,
-            last_time,
-            n_arrivals: m as u64,
-            n_transfers: m as u64,
-            n_processed: m as u64,
-        }
-    })
+    LoopOutcome { receive_busy, process_busy, peak_queue, last_time, n_arrivals: m as u64 }
 }
 
 /// Rebuilds the event simulation's per-event `des.*` records from a
@@ -752,35 +821,63 @@ static CYCLE_DONE: Schema = Schema(&[
     ("server_energy_j", Slot::F64),
 ]);
 
-/// Mirrors one cycle's event counts, its replayed clients, queue peaks,
-/// horizon and — when the sink keeps events — the `des.cycle_done`
-/// summary into telemetry.
+/// The per-server DES metrics, resolved once per point: each lookup by
+/// name takes the registry's lock and clones an `Arc` that every worker
+/// shares, and a point runs thousands of servers. The event counters
+/// are not per server at all: the caller sums the replayed clients and
+/// adds them once ([`count_replayed`]).
+pub(crate) struct DesMetrics {
+    queue_peak: Gauge,
+    occupancy: Histogram,
+    horizon: Histogram,
+}
+
+impl DesMetrics {
+    /// The handles, or `None` when telemetry is disabled.
+    pub(crate) fn resolve(telemetry: &Telemetry) -> Option<Self> {
+        telemetry.registry().map(|r| DesMetrics {
+            queue_peak: r.gauge("des.queue_depth.peak"),
+            occupancy: r.histogram("des.queue.occupancy"),
+            horizon: r.histogram("des.cycle.horizon_s"),
+        })
+    }
+}
+
+/// Adds `replayed` participating clients to the event counters: each
+/// one arrives, finishes its transfer and is processed exactly once, and
+/// every one of them is replayed (`des.fastpath.replayed`, created only
+/// once a client is).
+pub(crate) fn count_replayed(telemetry: &Telemetry, replayed: u64) {
+    if !telemetry.is_enabled() {
+        return;
+    }
+    telemetry.add_to_counter("des.events.arrival", replayed);
+    telemetry.add_to_counter("des.events.transfer_done", replayed);
+    telemetry.add_to_counter("des.events.process_done", replayed);
+    if replayed > 0 {
+        telemetry.add_to_counter("des.fastpath.replayed", replayed);
+    }
+}
+
+/// Mirrors one cycle's queue peaks, its horizon and — when the sink
+/// keeps events — the `des.cycle_done` summary into telemetry.
 ///
 /// The event queue's occupancy peak is the arrival count: every arrival
 /// is pushed before the first pop, and a client never has more than one
 /// pending event, so the queue never grows past them.
 fn flush_telemetry(
     telemetry: &Telemetry,
+    metrics: Option<&DesMetrics>,
     n_clients: usize,
     out: &LoopOutcome,
     horizon: f64,
     server_energy: Joules,
 ) {
-    if !telemetry.is_enabled() {
-        return;
+    if let Some(m) = metrics {
+        m.queue_peak.set_max(out.peak_queue as f64);
+        m.occupancy.observe(out.n_arrivals as f64);
+        m.horizon.observe(horizon);
     }
-    telemetry.add_to_counter("des.events.arrival", out.n_arrivals);
-    telemetry.add_to_counter("des.events.transfer_done", out.n_transfers);
-    telemetry.add_to_counter("des.events.process_done", out.n_processed);
-    // Every participating client arrives exactly once.
-    if out.n_arrivals > 0 {
-        telemetry.add_to_counter("des.fastpath.replayed", out.n_arrivals);
-    }
-    if let Some(r) = telemetry.registry() {
-        r.gauge("des.queue_depth.peak").set_max(out.peak_queue as f64);
-    }
-    telemetry.observe("des.queue.occupancy", out.n_arrivals as f64);
-    telemetry.observe("des.cycle.horizon_s", horizon);
     if telemetry.events_recording() {
         let values = [
             n_clients.into(),
@@ -841,14 +938,15 @@ mod oracle {
     /// Events pop from a min-heap in [`EventKey`] order: time ascending,
     /// ties in push order. `entries` are the arrivals in *push* order.
     /// Per-event `des.*` records are built only for a sink that keeps
-    /// trajectories or a tagged run.
+    /// trajectories or a tagged run. Returns the outcome and each
+    /// client's completion instant (0 when it never completed).
     pub(super) fn exact_event_loop(
         n_clients: usize,
         entries: &[(f64, usize)],
         server: &ServerModel,
         telemetry: &Telemetry,
         links: Option<&[Option<SpanCtx>]>,
-    ) -> LoopOutcome {
+    ) -> (LoopOutcome, Vec<f64>) {
         // The span each client's network hops chain under (None = untagged).
         let link = |client: usize| links.and_then(|l| l[client]);
         let transfer = server.receive_duration.value();
@@ -997,16 +1095,10 @@ mod oracle {
             receive_busy += last_time - receive_since;
         }
 
-        LoopOutcome {
-            receive_busy,
-            process_busy,
-            completion,
-            peak_queue,
-            last_time,
-            n_arrivals,
-            n_transfers,
-            n_processed,
-        }
+        assert_eq!(n_transfers, n_arrivals, "every arrival transfers once");
+        assert_eq!(n_processed, n_arrivals, "every transfer is processed once");
+        let outcome = LoopOutcome { receive_busy, process_busy, peak_queue, last_time, n_arrivals };
+        (outcome, completion)
     }
 }
 
@@ -1042,12 +1134,30 @@ mod tests {
         let exact = oracle::exact_event_loop(k, &entries, &srv, &Telemetry::ring(1), None);
         let process = srv.process_duration.value();
         assert!(
-            exact.last_time >= k as f64 * process,
+            exact.0.last_time >= k as f64 * process,
             "single CPU cannot finish {k} jobs of {process} s by {} s",
-            exact.last_time
+            exact.0.last_time
         );
-        let fast = replay_core(k, &arrivals, None, &srv, None, &Telemetry::disabled(), None);
+        let fast = replay(k, &arrivals, None, &srv, &Telemetry::disabled(), None);
         assert_eq!(outcome_bits(&fast), outcome_bits(&exact));
+    }
+
+    /// [`replay_core`] on fresh scratch, with the completion column the
+    /// oracle reports: by client, 0 for a client never delivered.
+    fn replay(
+        n_clients: usize,
+        times: &[f64],
+        clients: Option<&[u32]>,
+        srv: &ServerModel,
+        telemetry: &Telemetry,
+        links: Option<&[Option<SpanCtx>]>,
+    ) -> (LoopOutcome, Vec<f64>) {
+        let mut scratch = ReplayScratch::default();
+        let out = replay_core(times, clients, srv, None, telemetry, links, &mut scratch);
+        // Only the length of the wake-up column matters here.
+        let arrivals = vec![0.0; n_clients];
+        let done = Finished { arrivals: &arrivals, clients, proc_end: &scratch.proc_end };
+        (out, done.completion().into_owned())
     }
 
     /// A server with integer transfer and process durations: on a
@@ -1062,15 +1172,18 @@ mod tests {
         }
     }
 
-    /// Everything a [`LoopOutcome`] holds, floats as bits.
-    fn outcome_bits(o: &LoopOutcome) -> (u64, u64, Vec<u64>, usize, u64, [u64; 3]) {
+    /// Everything a [`LoopOutcome`] and its completion column hold,
+    /// floats as bits.
+    fn outcome_bits(
+        (o, completion): &(LoopOutcome, Vec<f64>),
+    ) -> (u64, u64, Vec<u64>, usize, u64, u64) {
         (
             o.receive_busy.to_bits(),
             o.process_busy.to_bits(),
-            o.completion.iter().map(|c| c.to_bits()).collect(),
+            completion.iter().map(|c| c.to_bits()).collect(),
             o.peak_queue,
             o.last_time.to_bits(),
-            [o.n_arrivals, o.n_transfers, o.n_processed],
+            o.n_arrivals,
         )
     }
 
@@ -1085,36 +1198,50 @@ mod tests {
             .collect()
     }
 
+    /// Resolved transfers in push (client) order, as the pre-pass
+    /// meets them: (effective time, client, attempts).
+    type Rows = Vec<(f64, usize, u64)>;
+
+    /// The rows as the oracle's push-order `(time, client)` entries.
+    fn push_order_entries(rows: &Rows) -> Vec<(f64, usize)> {
+        rows.iter().map(|&(t, client, _)| (t, client)).collect()
+    }
+
     /// Runs replay + emitter and the oracle loop on the same resolved
     /// transfers of `n_clients` clients, and asserts identical outcomes
-    /// and identical event streams. `rows` are in push (client) order;
-    /// with `positional`, they must be every client's clean transfer,
-    /// and the replay takes its positional (no client column) form.
+    /// and identical event streams. With `positional`, `rows` must be
+    /// every client's clean transfer, and the replay takes its
+    /// positional (no client column) form; otherwise the rows go through
+    /// the pre-pass's [`PopOrder`].
     fn assert_matches_oracle(
         srv: &ServerModel,
         n_clients: usize,
-        rows: &TransferColumns,
+        rows: &Rows,
         positional: bool,
         links: Option<&[Option<SpanCtx>]>,
     ) {
         let (fast_tel, exact_tel) = (Telemetry::enabled(), Telemetry::enabled());
         let fast = if positional {
-            assert_eq!(rows.divergent_count(), 0);
-            let (times, _) = rows.pop_order_columns();
-            replay_core(n_clients, &times, None, srv, None, &fast_tel, links)
+            assert!(rows.iter().enumerate().all(|(i, &(_, c, a))| c == i && a == 1));
+            let times: Vec<f64> = rows.iter().map(|r| r.0).collect();
+            replay(n_clients, &times, None, srv, &fast_tel, links)
         } else {
-            let (times, clients) = rows.pop_order_columns();
-            replay_core(n_clients, &times, Some(&clients), srv, None, &fast_tel, links)
+            let mut order = PopOrder::default();
+            for &(t, client, attempts) in rows {
+                order.push(t, client, attempts);
+            }
+            let (times, clients) = order.finish();
+            replay(n_clients, times, Some(clients), srv, &fast_tel, links)
         };
-        let exact =
-            oracle::exact_event_loop(n_clients, &rows.push_order_entries(), srv, &exact_tel, links);
+        let entries = push_order_entries(rows);
+        let exact = oracle::exact_event_loop(n_clients, &entries, srv, &exact_tel, links);
         let at = format!(
             "cap {}, transfer {}, process {}, n {n_clients}",
             srv.max_parallel, srv.receive_duration, srv.process_duration
         );
         // One CPU: completions of delivered clients lie at least one
         // process duration apart.
-        let mut done: Vec<f64> = exact.completion.iter().copied().filter(|&c| c > 0.0).collect();
+        let mut done: Vec<f64> = exact.1.iter().copied().filter(|&c| c > 0.0).collect();
         done.sort_by(f64::total_cmp);
         let process = srv.process_duration.value();
         assert!(done.windows(2).all(|w| w[1] >= w[0] + process), "{at}: CPU double-booked");
@@ -1130,25 +1257,19 @@ mod tests {
     /// `grid` integer instants (so many share one), sorted; a `dropped`
     /// share never reaches the uplink and a `divergent` share arrives
     /// an integer number of seconds late, out of wake-up order.
-    fn lattice_rows(
-        rng: &mut StdRng,
-        n: usize,
-        grid: u32,
-        dropped: f64,
-        divergent: f64,
-    ) -> TransferColumns {
+    fn lattice_rows(rng: &mut StdRng, n: usize, grid: u32, dropped: f64, divergent: f64) -> Rows {
         let mut wake: Vec<f64> = (0..n).map(|_| f64::from(rng.gen_range(0..grid))).collect();
         wake.sort_by(f64::total_cmp);
-        let mut rows = TransferColumns::with_capacity(n);
+        let mut rows = Rows::with_capacity(n);
         for (client, &t) in wake.iter().enumerate() {
             if rng.gen::<f64>() < dropped {
                 continue;
             }
             if rng.gen::<f64>() < divergent {
                 let attempts = rng.gen_range(2u64..5);
-                rows.push(t + f64::from(rng.gen_range(1u32..40)), client, attempts);
+                rows.push((t + f64::from(rng.gen_range(1u32..40)), client, attempts));
             } else {
-                rows.push(t, client, 1);
+                rows.push((t, client, 1));
             }
         }
         rows
@@ -1156,9 +1277,9 @@ mod tests {
 
     /// Causal links as the cycle builds them: an attempt span for every
     /// delivered client, keyed by its trace id.
-    fn links_for(rows: &TransferColumns, n_clients: usize) -> Vec<Option<SpanCtx>> {
+    fn links_for(rows: &Rows, n_clients: usize) -> Vec<Option<SpanCtx>> {
         let mut links = vec![None; n_clients];
-        for (_, client) in rows.push_order_entries() {
+        for &(_, client, _) in rows {
             links[client] = Some(SpanCtx::attempt(trace_id(0xD35, client as u64), 1));
         }
         links
@@ -1172,14 +1293,10 @@ mod tests {
     #[test]
     fn process_done_pushed_first_pops_first_at_a_tie() {
         let srv = lattice_server(1, 1, 2);
-        let mut rows = TransferColumns::with_capacity(3);
-        for client in 0..3 {
-            rows.push(0.0, client, 1);
-        }
+        let rows: Rows = (0..3).map(|client| (0.0, client, 1)).collect();
         assert_matches_oracle(&srv, 3, &rows, true, None);
         let tel = Telemetry::enabled();
-        let (times, _) = rows.pop_order_columns();
-        replay_core(3, &times, None, &srv, None, &tel, None);
+        replay(3, &[0.0; 3], None, &srv, &tel, None);
         let events = tel.events();
         let order: Vec<(f64, &str, Value)> = events
             .iter()
@@ -1211,14 +1328,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x1E5);
         let mut wake: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..srv.cycle.value())).collect();
         sort_arrival_times(&mut wake);
-        let mut clean = TransferColumns::with_capacity(n);
-        let mut faulted = TransferColumns::with_capacity(n);
+        let mut clean = Rows::with_capacity(n);
+        let mut faulted = Rows::with_capacity(n);
         for (client, &t) in wake.iter().enumerate() {
-            clean.push(t, client, 1);
+            clean.push((t, client, 1));
             match rng.gen_range(0u32..10) {
                 0 => {}
-                1 => faulted.push(t + 15.0 * rng.gen::<f64>(), client, 2),
-                _ => faulted.push(t, client, 1),
+                1 => faulted.push((t + 15.0 * rng.gen::<f64>(), client, 2)),
+                _ => faulted.push((t, client, 1)),
             }
         }
         assert_matches_oracle(&srv, n, &clean, true, None);

@@ -45,8 +45,10 @@ use std::sync::{Arc, RwLock};
 
 use crate::allocator::{allocate, Allocation, FillPolicy};
 use crate::client::ClientModel;
-use crate::columns::{publish_columns, CountingRng, FleetColumns};
-use crate::des::{simulate_async_cycle_with, DesFaults, DesRun, DesTrace, ShapeMemo};
+use crate::columns::{publish_columns, FleetColumns};
+use crate::des::{
+    count_replayed, run_server, DesFaults, DesMetrics, DesRun, DesTrace, ServerCycle, ShapeMemo,
+};
 use crate::faults::{
     emit_delivered, publish_stats, resolve_client, retry_energy, FaultPlan, FaultStats, Resolution,
     TransferTrace, FAULT_GAMMA,
@@ -432,13 +434,25 @@ impl SimContext {
 
 /// A strategy for pricing one wake-up cycle of the two scenarios.
 ///
-/// `evaluate` is the only required method; `evaluate_edge` and
-/// [`compare`](CycleEngine::compare) are shared across backends because
-/// the pure-edge scenario has no server to model and the comparison
-/// semantics (equal loss draws on both sides) must not vary by backend.
+/// A backend implements [`evaluate_drawn`](CycleEngine::evaluate_drawn),
+/// the edge+cloud side priced from a [`CycleDraw`], and names its span.
+/// The rest is shared across backends: the pure-edge scenario has no
+/// server to model, and the comparison semantics (one draw strikes both
+/// sides) must not vary by backend.
 pub trait CycleEngine: Send + Sync {
+    /// The histogram the edge+cloud side's wall time records into,
+    /// `engine.cycle.<backend>`; it covers the draw as well.
+    fn span_name(&self) -> &'static str;
+
+    /// Prices one cycle of the **edge+cloud** scenario from its draw.
+    fn evaluate_drawn(&self, spec: &ScenarioSpec, draw: CycleDraw, ctx: &SimContext)
+        -> CycleReport;
+
     /// Prices one cycle of the **edge+cloud** scenario at `n_clients`.
-    fn evaluate(&self, spec: &ScenarioSpec, n_clients: usize, ctx: &SimContext) -> CycleReport;
+    fn evaluate(&self, spec: &ScenarioSpec, n_clients: usize, ctx: &SimContext) -> CycleReport {
+        let _span = ctx.telemetry().span(self.span_name());
+        self.evaluate_drawn(spec, CycleDraw::new(spec, n_clients, ctx), ctx)
+    }
 
     /// Prices one cycle of the **edge** scenario at `n_clients`: every
     /// client runs the service locally, no servers exist, and only
@@ -450,66 +464,47 @@ pub trait CycleEngine: Send + Sync {
         ctx: &SimContext,
     ) -> CycleReport {
         let _span = ctx.telemetry().span("engine.cycle.edge");
-        let plan = ctx.fault_plan();
-        let active = active_clients(spec, n_clients, ctx);
-        let edge_total = spec.edge_client.cycle_energy() * active as f64;
-        // Nodes never touch the network, so only sensor dropouts strike
-        // them (the node still runs its full routine: energy unchanged).
-        // The classes come from the same fault stream as the cloud side,
-        // so per-class counts match across scenarios.
-        let stats = if plan.sensor_dropout > 0.0 {
-            let columns = FleetColumns::draw(plan, active, &mut ctx.fault_rng(n_clients as u64));
-            let (_, sensor_dropouts) = columns.class_counts();
-            FaultStats {
-                sensor_dropouts: sensor_dropouts as u64,
-                delivered: (active - sensor_dropouts) as u64,
-                ..FaultStats::default()
-            }
-        } else {
-            FaultStats::unstruck(plan, 0, active)
-        };
-        CycleReport::new(n_clients, active, 0, edge_total, Joules::ZERO, stats)
+        CycleDraw::new(spec, n_clients, ctx).edge_report(spec, ctx.fault_plan())
     }
 
-    /// Evaluates both scenarios at `n_clients` from the *same* derived
-    /// RNG stream, so a random client loss strikes both equally and the
-    /// comparison is apples-to-apples (the Figure 7 green/blue regions).
+    /// Evaluates both scenarios at `n_clients` from **one** draw: the
+    /// Loss-C count and the fault classes are drawn once and serve both
+    /// sides, so a random client loss or fault strikes both equally and
+    /// the comparison is apples-to-apples (the Figure 7 green/blue
+    /// regions). Bit-identical to separate [`evaluate_edge`] and
+    /// [`evaluate`] calls, which each make the same draw, except that
+    /// `loss.clients_lost` counts the lost clients once.
+    ///
+    /// [`evaluate_edge`]: CycleEngine::evaluate_edge
+    /// [`evaluate`]: CycleEngine::evaluate
     fn compare(&self, spec: &ScenarioSpec, n_clients: usize, ctx: &SimContext) -> ComparisonPoint {
-        ComparisonPoint {
-            n_clients,
-            edge: self.evaluate_edge(spec, n_clients, ctx),
-            cloud: self.evaluate(spec, n_clients, ctx),
-        }
+        let telemetry = ctx.telemetry();
+        let _span = telemetry.span(self.span_name());
+        let draw = CycleDraw::new(spec, n_clients, ctx);
+        let edge = {
+            let _span = telemetry.span("engine.cycle.edge");
+            draw.edge_report(spec, ctx.fault_plan())
+        };
+        ComparisonPoint { n_clients, edge, cloud: self.evaluate_drawn(spec, draw, ctx) }
     }
 }
 
-/// The Loss-C draw both scenarios share: how many of `n_clients`
-/// participate, drawn from point `n_clients`'s stream (so a comparison
-/// loses the same clients on both sides) and counted into
-/// `loss.clients_lost`.
-fn active_clients(spec: &ScenarioSpec, n_clients: usize, ctx: &SimContext) -> usize {
-    let lost = spec
-        .loss
-        .client_loss
-        .map_or(0, |l| l.draw(n_clients, &mut ctx.point_rng(n_clients as u64)));
-    if lost > 0 {
-        ctx.telemetry().add_to_counter("loss.clients_lost", lost as u64);
-    }
-    n_clients - lost
-}
-
-/// The preamble every edge+cloud cycle shares: the Loss-C draw, the
-/// server as the fault plan degrades it, its (fingerprint-keyed)
-/// allocation and — only when the plan can strike a client — the drawn
-/// class column.
-struct CycleSetup {
+/// The draws one cycle's two scenarios share: how many of the clients
+/// participate (Loss C, from the point's stream) and — only when the
+/// plan can strike a client — every active client's fault class (from
+/// the point's fault stream). [`CycleEngine::compare`] makes one and
+/// hands it to both sides; the edge side reads its counts, and the
+/// edge+cloud side consumes it. Opaque outside this module: only the
+/// built-in backends read it.
+#[derive(Debug)]
+pub struct CycleDraw {
+    n_clients: usize,
     active: usize,
-    server: ServerModel,
-    allocation: Arc<Allocation>,
     strike: Option<Strike>,
 }
 
 /// Per-client fault state of a cycle the plan can strike.
+#[derive(Debug)]
 struct Strike {
     columns: FleetColumns,
     brownouts: usize,
@@ -518,10 +513,20 @@ struct Strike {
     frng: StdRng,
 }
 
-impl CycleSetup {
+impl CycleDraw {
+    /// Draws point `n_clients`: the Loss-C count (added to
+    /// `loss.clients_lost`) and, when the plan strikes clients, the class
+    /// column.
     fn new(spec: &ScenarioSpec, n_clients: usize, ctx: &SimContext) -> Self {
         let plan = ctx.fault_plan();
-        let active = active_clients(spec, n_clients, ctx);
+        let lost = spec
+            .loss
+            .client_loss
+            .map_or(0, |l| l.draw(n_clients, &mut ctx.point_rng(n_clients as u64)));
+        if lost > 0 {
+            ctx.telemetry().add_to_counter("loss.clients_lost", lost as u64);
+        }
+        let active = n_clients - lost;
         let strike = plan.strikes_clients().then(|| {
             let mut frng = ctx.fault_rng(n_clients as u64);
             let columns = FleetColumns::draw(plan, active, &mut frng);
@@ -529,15 +534,38 @@ impl CycleSetup {
             publish_columns(ctx.telemetry(), &columns);
             Strike { columns, brownouts, sensor_dropouts, frng }
         });
+        CycleDraw { n_clients, active, strike }
+    }
+
+    /// The edge scenario's report. Nodes never touch the network, so
+    /// only sensor dropouts strike them, and a node whose sensor failed
+    /// still runs its full routine (energy unchanged).
+    fn edge_report(&self, spec: &ScenarioSpec, plan: &FaultPlan) -> CycleReport {
+        let edge_total = spec.edge_client.cycle_energy() * self.active as f64;
+        let stats = match &self.strike {
+            Some(st) => FaultStats {
+                sensor_dropouts: st.sensor_dropouts as u64,
+                delivered: (self.active - st.sensor_dropouts) as u64,
+                ..FaultStats::default()
+            },
+            None => FaultStats::unstruck(plan, 0, self.active),
+        };
+        CycleReport::new(self.n_clients, self.active, 0, edge_total, Joules::ZERO, stats)
+    }
+
+    /// The server as the plan degrades it, and the (fingerprint-keyed)
+    /// allocation of the active clients onto it.
+    fn provision(&self, spec: &ScenarioSpec, ctx: &SimContext) -> (ServerModel, Arc<Allocation>) {
+        let plan = ctx.fault_plan();
         let server = plan.effective_server(&spec.server);
         let allocation = ctx.cache().get_or_allocate_for(
-            active,
+            self.active,
             &server,
             spec.policy,
             spec.loss.transfer.as_ref(),
             plan.fingerprint(),
         );
-        CycleSetup { active, server, allocation, strike }
+        (server, allocation)
     }
 }
 
@@ -553,18 +581,26 @@ impl CycleSetup {
 pub struct ClosedForm;
 
 impl CycleEngine for ClosedForm {
-    fn evaluate(&self, spec: &ScenarioSpec, n_clients: usize, ctx: &SimContext) -> CycleReport {
-        let _span = ctx.telemetry().span("engine.cycle.closed_form");
+    fn span_name(&self) -> &'static str {
+        "engine.cycle.closed_form"
+    }
+
+    fn evaluate_drawn(
+        &self,
+        spec: &ScenarioSpec,
+        draw: CycleDraw,
+        ctx: &SimContext,
+    ) -> CycleReport {
         let plan = ctx.fault_plan();
-        let s = CycleSetup::new(spec, n_clients, ctx);
-        let server_total = servers_cycle_energy(&s.server, &s.allocation, &spec.loss);
-        let mut edge_total = edge_cycle_energy(&spec.cloud_client, &s.allocation, &spec.loss);
-        let stats = match &s.strike {
-            None => FaultStats::unstruck(plan, s.active, s.active),
+        let active = draw.active;
+        let (server, allocation) = draw.provision(spec, ctx);
+        let server_total = servers_cycle_energy(&server, &allocation, &spec.loss);
+        let mut edge_total = edge_cycle_energy(&spec.cloud_client, &allocation, &spec.loss);
+        let stats = match &draw.strike {
+            None => FaultStats::unstruck(plan, active, active),
             Some(st) => {
-                let uploaders = s.active - st.brownouts - st.sensor_dropouts;
-                let per_cloud =
-                    if s.active > 0 { edge_total / s.active as f64 } else { Joules::ZERO };
+                let uploaders = active - st.brownouts - st.sensor_dropouts;
+                let per_cloud = if active > 0 { edge_total / active as f64 } else { Joules::ZERO };
                 let p1 = plan.first_attempt_failure(spec.server.cycle);
                 let max = plan.retry.max_retries;
                 let p_exhaust = p1.powi(max as i32 + 1);
@@ -582,7 +618,7 @@ impl CycleEngine for ClosedForm {
                     fallbacks,
                     brownouts: st.brownouts as u64,
                     sensor_dropouts: st.sensor_dropouts as u64,
-                    delivered: (s.active as u64)
+                    delivered: (active as u64)
                         .saturating_sub(fallbacks + st.sensor_dropouts as u64),
                 };
                 publish_stats(ctx.telemetry(), &stats);
@@ -590,9 +626,9 @@ impl CycleEngine for ClosedForm {
             }
         };
         CycleReport::new(
-            n_clients,
-            s.active,
-            s.allocation.n_servers(),
+            draw.n_clients,
+            active,
+            allocation.n_servers(),
             edge_total,
             server_total,
             stats,
@@ -613,18 +649,29 @@ impl CycleEngine for ClosedForm {
 pub struct EventTimeline;
 
 impl CycleEngine for EventTimeline {
-    fn evaluate(&self, spec: &ScenarioSpec, n_clients: usize, ctx: &SimContext) -> CycleReport {
-        let _span = ctx.telemetry().span("engine.cycle.timeline");
+    fn span_name(&self) -> &'static str {
+        "engine.cycle.timeline"
+    }
+
+    fn evaluate_drawn(
+        &self,
+        spec: &ScenarioSpec,
+        mut draw: CycleDraw,
+        ctx: &SimContext,
+    ) -> CycleReport {
         let plan = ctx.fault_plan();
-        let mut s = CycleSetup::new(spec, n_clients, ctx);
-        let server_total = servers_energy_from_timelines(&s.server, &s.allocation, &spec.loss);
+        let (server, allocation) = draw.provision(spec, ctx);
+        let server_total = servers_energy_from_timelines(&server, &allocation, &spec.loss);
         let fallback_cost = spec.edge_client.cycle_energy();
         let retry_cost = retry_energy(&spec.cloud_client);
         let telemetry = ctx.telemetry();
         // Causal tagging is opt-in (`Telemetry::with_tracing`): without it
         // the event stream stays byte-identical to the untagged shape.
         let causal = telemetry.tracing_active();
-        let trace_seed = ctx.point_seed(n_clients as u64);
+        let trace_seed = ctx.point_seed(draw.n_clients as u64);
+        if let Some(st) = draw.strike.as_mut() {
+            st.columns.track_transfers();
+        }
 
         let (mut delivered, mut fallbacks) = (0u64, 0u64);
         // Starts at -0.0, the value of an empty `Iterator::sum`, so an
@@ -632,11 +679,11 @@ impl CycleEngine for EventTimeline {
         // gives it (pinned by the NONE goldens).
         let mut edge_total = Joules(-0.0);
         let mut idx = 0usize;
-        for (count, sa) in s.allocation.groups() {
+        for (count, sa) in allocation.groups() {
             // Slot start times and per-slot client costs (loss-B stretch
             // included) depend only on the shape: price them once per
             // group, then replay them per server in server order.
-            let starts = slot_start_times(&s.server, &sa.slots, &spec.loss);
+            let starts = slot_start_times(&server, &sa.slots, &spec.loss);
             let slots: Vec<(Seconds, Joules, usize)> = sa
                 .slots
                 .iter()
@@ -648,7 +695,7 @@ impl CycleEngine for EventTimeline {
                 .collect();
             for _ in 0..*count {
                 for &(t0, slot_cost, k) in &slots {
-                    let Some(st) = s.strike.as_mut() else {
+                    let Some(st) = draw.strike.as_mut() else {
                         edge_total += slot_cost * k as f64;
                         continue;
                     };
@@ -664,17 +711,15 @@ impl CycleEngine for EventTimeline {
                             fallback_energy_j: fallback_cost.value(),
                         };
                         let class = st.columns.class(idx);
-                        let mut frng = CountingRng::new(&mut st.frng);
                         let outcome = resolve_client(
                             plan,
                             class,
                             t0,
-                            &mut frng,
+                            &mut st.frng,
                             telemetry,
                             causal.then_some(&tc),
                         );
-                        let draws = frng.draws();
-                        st.columns.record_transfer(idx, outcome.attempts(), draws);
+                        st.columns.record_transfer(idx, outcome.attempts());
                         if outcome.attempts() > 1 {
                             edge_total += retry_cost * (outcome.attempts() - 1) as f64;
                         }
@@ -705,10 +750,10 @@ impl CycleEngine for EventTimeline {
                 }
             }
         }
-        let stats = match &mut s.strike {
-            None => FaultStats::unstruck(plan, s.active, s.active),
+        let stats = match &mut draw.strike {
+            None => FaultStats::unstruck(plan, draw.active, draw.active),
             Some(st) => {
-                debug_assert_eq!(idx, s.active, "allocation must cover every active client");
+                debug_assert_eq!(idx, draw.active, "allocation must cover every active client");
                 // Attempt/retry totals come off the attempts column:
                 // chunked integer reductions over the pool, bit-identical
                 // at any thread count.
@@ -729,9 +774,9 @@ impl CycleEngine for EventTimeline {
             }
         };
         CycleReport::new(
-            n_clients,
-            s.active,
-            s.allocation.n_servers(),
+            draw.n_clients,
+            draw.active,
+            allocation.n_servers(),
             edge_total,
             server_total,
             stats,
@@ -760,12 +805,20 @@ impl CycleEngine for EventTimeline {
 pub struct Des;
 
 impl CycleEngine for Des {
-    fn evaluate(&self, spec: &ScenarioSpec, n_clients: usize, ctx: &SimContext) -> CycleReport {
-        let _span = ctx.telemetry().span("engine.cycle.des");
+    fn span_name(&self) -> &'static str {
+        "engine.cycle.des"
+    }
+
+    fn evaluate_drawn(
+        &self,
+        spec: &ScenarioSpec,
+        draw: CycleDraw,
+        ctx: &SimContext,
+    ) -> CycleReport {
         let plan = ctx.fault_plan();
-        let s = CycleSetup::new(spec, n_clients, ctx);
-        let point_seed = ctx.point_seed(n_clients as u64);
-        let fault_seed = ctx.fault_seed(n_clients as u64);
+        let (server, allocation) = draw.provision(spec, ctx);
+        let point_seed = ctx.point_seed(draw.n_clients as u64);
+        let fault_seed = ctx.fault_seed(draw.n_clients as u64);
         // One job per server: (server index, global index of its first
         // client, clients). Each server owns independent salted RNG
         // streams, so the servers fan out over the pool; the fold below
@@ -773,16 +826,18 @@ impl CycleEngine for Des {
         // bit-identical to the serial loop at any thread count. Causal
         // trace ids derive from the point seed and the global client
         // index, so they are thread-count-stable too.
-        let mut jobs: Vec<(usize, usize, usize)> = Vec::with_capacity(s.allocation.n_servers());
+        let mut jobs: Vec<(usize, usize, usize)> = Vec::with_capacity(allocation.n_servers());
         let mut base = 0usize;
-        for (i, sa) in s.allocation.servers().enumerate() {
+        for (i, sa) in allocation.servers().enumerate() {
             jobs.push((i, base, sa.n_clients()));
             base += sa.n_clients();
         }
-        debug_assert_eq!(base, s.active, "allocation must cover every active client");
-        let classes = s.strike.as_ref().map(|st| st.columns.classes());
+        debug_assert_eq!(base, draw.active, "allocation must cover every active client");
+        let classes = draw.strike.as_ref().map(|st| st.columns.classes());
         let telemetry = ctx.telemetry();
         let causal = telemetry.tracing_active();
+        // Resolved once per point, not once per server.
+        let metrics = if jobs.is_empty() { None } else { DesMetrics::resolve(telemetry) };
         let deliver_cost = spec.cloud_client.cycle_energy();
         let fallback_cost = spec.edge_client.cycle_energy();
         let retry_cost = retry_energy(&spec.cloud_client);
@@ -791,8 +846,8 @@ impl CycleEngine for Des {
         // constants once and share them across the fan-out. Servers whose
         // transfers all resolve cleanly keep their shape and hit the
         // memo; divergent counts fold inline.
-        let memo = ShapeMemo::for_server(&s.server, jobs.iter().map(|&(_, _, k)| k));
-        let outs: Vec<(Joules, u64, u64, u64, u64)> = jobs
+        let memo = ShapeMemo::for_server(&server, jobs.iter().map(|&(_, _, k)| k));
+        let outs: Vec<ServerCycle> = jobs
             .par_iter()
             .map(|&(i, base, k)| {
                 let salt = (i as u64 + 1).wrapping_mul(GOLDEN_GAMMA);
@@ -814,32 +869,31 @@ impl CycleEngine for Des {
                         seed: fault_seed ^ salt,
                     }),
                 };
-                // Keep only what the fold reads: with the rest of the
-                // report dropped here, the compiler can skip the unused
-                // latency fold and completion column (about 20 % of the
-                // clean 10⁶ point, measured).
-                let out = simulate_async_cycle_with(k, &s.server, &mut server_rng, &run);
-                (out.report.server_energy, out.attempts, out.retries, out.delivered, out.fallbacks)
+                // No per-client read-out: the fold needs server totals only.
+                run_server(k, &server, &mut server_rng, &run, metrics.as_ref(), |_| ()).0
             })
             .collect();
         let mut server_total = Joules::ZERO;
         let (mut attempts, mut retries, mut delivered, mut fallbacks) = (0u64, 0u64, 0u64, 0u64);
-        for &(e, a, r, d, f) in &outs {
-            server_total += e;
-            attempts += a;
-            retries += r;
-            delivered += d;
-            fallbacks += f;
+        for out in &outs {
+            server_total += out.server_energy;
+            attempts += out.attempts;
+            retries += out.retries;
+            delivered += out.delivered;
+            fallbacks += out.fallbacks;
         }
-        let sensor_dropouts = s.strike.as_ref().map_or(0, |st| st.sensor_dropouts as u64);
+        if !jobs.is_empty() {
+            count_replayed(telemetry, delivered);
+        }
+        let sensor_dropouts = draw.strike.as_ref().map_or(0, |st| st.sensor_dropouts as u64);
         // Unsynchronized uploads see no slot contention (penalty-free
         // cycle cost); sensor-dropout clients still run their full
         // routine.
         let edge_total = deliver_cost * (delivered + sensor_dropouts) as f64
             + fallback_cost * fallbacks as f64
             + retry_cost * retries as f64;
-        let stats = match &s.strike {
-            None => FaultStats::unstruck(plan, s.active, s.active),
+        let stats = match &draw.strike {
+            None => FaultStats::unstruck(plan, draw.active, draw.active),
             Some(st) => {
                 let stats = FaultStats {
                     attempts,
@@ -854,9 +908,9 @@ impl CycleEngine for Des {
             }
         };
         CycleReport::new(
-            n_clients,
-            s.active,
-            s.allocation.n_servers(),
+            draw.n_clients,
+            draw.active,
+            allocation.n_servers(),
             edge_total,
             server_total,
             stats,
@@ -893,11 +947,24 @@ impl Backend {
 }
 
 impl CycleEngine for Backend {
-    fn evaluate(&self, spec: &ScenarioSpec, n_clients: usize, ctx: &SimContext) -> CycleReport {
+    fn span_name(&self) -> &'static str {
         match self {
-            Backend::ClosedForm => ClosedForm.evaluate(spec, n_clients, ctx),
-            Backend::EventTimeline => EventTimeline.evaluate(spec, n_clients, ctx),
-            Backend::Des => Des.evaluate(spec, n_clients, ctx),
+            Backend::ClosedForm => ClosedForm.span_name(),
+            Backend::EventTimeline => EventTimeline.span_name(),
+            Backend::Des => Des.span_name(),
+        }
+    }
+
+    fn evaluate_drawn(
+        &self,
+        spec: &ScenarioSpec,
+        draw: CycleDraw,
+        ctx: &SimContext,
+    ) -> CycleReport {
+        match self {
+            Backend::ClosedForm => ClosedForm.evaluate_drawn(spec, draw, ctx),
+            Backend::EventTimeline => EventTimeline.evaluate_drawn(spec, draw, ctx),
+            Backend::Des => Des.evaluate_drawn(spec, draw, ctx),
         }
     }
 }
@@ -1098,6 +1165,138 @@ mod tests {
             for n in [100usize, 250, 400] {
                 let p = backend.compare(&spec, n, &ctx);
                 assert_eq!(p.edge.n_active, p.cloud.n_active, "{backend} n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn compare_counts_lost_clients_once() {
+        // One draw per comparison: `loss.clients_lost` counts each lost
+        // client once, not once per side.
+        let spec = spec(10, LossModel::all());
+        for backend in Backend::ALL {
+            let tel = Telemetry::metrics_only();
+            let ctx = SimContext::with_telemetry(11, tel.clone())
+                .with_fault_plan(FaultPlan::mid_severity());
+            let p = backend.compare(&spec, 400, &ctx);
+            let lost = (p.n_clients - p.cloud.n_active) as u64;
+            assert!(lost > 0, "{backend}: Loss C must strike at this seed");
+            assert_eq!(tel.snapshot().counter("loss.clients_lost"), Some(lost), "{backend}");
+        }
+    }
+
+    #[test]
+    fn des_metrics_sum_over_the_point_once() {
+        // The event counters are summed over the servers and added once;
+        // the gauge and histograms still take one sample per server.
+        let spec = spec(35, LossModel::NONE);
+        let tel = Telemetry::metrics_only();
+        let ctx =
+            SimContext::with_telemetry(3, tel.clone()).with_fault_plan(FaultPlan::mid_severity());
+        let p = Des.compare(&spec, 20_000, &ctx);
+        let snap = tel.snapshot();
+        let delivered = p.cloud.faults.delivered;
+        assert!(delivered > 0 && delivered < 20_000);
+        for name in [
+            "des.events.arrival",
+            "des.events.transfer_done",
+            "des.events.process_done",
+            "des.fastpath.replayed",
+        ] {
+            assert_eq!(snap.counter(name), Some(delivered), "{name}");
+        }
+        for name in ["des.queue.occupancy", "des.cycle.horizon_s"] {
+            let h = snap.histogram(name).expect(name);
+            assert_eq!(h.count, p.cloud.n_servers as u64, "{name}");
+        }
+        assert!(snap.gauge("des.queue_depth.peak").is_some());
+    }
+
+    mod props {
+        use super::*;
+        use crate::faults::{Brownout, OutageWindow, RetryPolicy};
+        use proptest::prelude::*;
+
+        /// A probability in [0, 0.5) that is exactly 0 a third of the time.
+        fn probability() -> impl Strategy<Value = f64> {
+            (0u8..3, 0.0..0.5f64).prop_map(|(k, p)| if k == 0 { 0.0 } else { p })
+        }
+
+        /// Fault plans across every knob: no outage, an empty window or
+        /// a real one; zero and nonzero probabilities; retry policies.
+        fn fault_plan() -> impl Strategy<Value = FaultPlan> {
+            let outage = (0u8..3, 0.0..300.0f64, 1.0..120.0f64).prop_map(|(k, t, d)| match k {
+                0 => None,
+                1 => Some(OutageWindow::new(Seconds(t), Seconds(t))),
+                _ => Some(OutageWindow::new(Seconds(t), Seconds(t + d))),
+            });
+            let brownout = proptest::option::of(probability())
+                .prop_map(|p| p.map(|probability| Brownout { probability }));
+            let retry = (0u32..5, 1.0..30.0f64, 1.0..3.0f64, 30.0..240.0f64, 0.0..0.5f64).prop_map(
+                |(max_retries, base, factor, max, jitter)| RetryPolicy {
+                    max_retries,
+                    base_backoff: Seconds(base),
+                    backoff_factor: factor,
+                    max_backoff: Seconds(max),
+                    jitter,
+                },
+            );
+            let slowdown =
+                (proptest::bool::ANY, 1.0..1.5f64).prop_map(|(slow, f)| if slow { f } else { 1.0 });
+            (outage, probability(), slowdown, brownout, probability(), retry).prop_map(
+                |(outage, packet_loss, slowdown, brownout, sensor_dropout, retry)| FaultPlan {
+                    outage,
+                    packet_loss,
+                    slowdown,
+                    brownout,
+                    sensor_dropout,
+                    retry,
+                },
+            )
+        }
+
+        fn loss_model() -> impl Strategy<Value = LossModel> {
+            (0usize..5).prop_map(|k| {
+                [
+                    LossModel::NONE,
+                    LossModel::saturation_only(),
+                    LossModel::transfer_only(),
+                    LossModel::client_loss_only(),
+                    LossModel::all(),
+                ][k]
+            })
+        }
+
+        proptest! {
+            #![proptest_config(proptest::test_runner::Config::with_cases(48))]
+            /// One draw serving both sides prices exactly what two
+            /// separate draws price: every backend, every generated plan
+            /// and loss model, at thread caps 1 and 2.
+            #[test]
+            fn compare_equals_separate_edge_and_cloud_calls(
+                plan in fault_plan(),
+                loss in loss_model(),
+                n in 1usize..1500,
+                cap in 1usize..40,
+                seed in 0u64..1_000_000,
+            ) {
+                let spec = spec(cap, loss);
+                for backend in Backend::ALL {
+                    for threads in [1, 2] {
+                        let (joint, edge, cloud) = rayon::pool::with_thread_cap(threads, || {
+                            let ctx = || SimContext::new(seed).with_fault_plan(plan);
+                            (
+                                backend.compare(&spec, n, &ctx()),
+                                backend.evaluate_edge(&spec, n, &ctx()),
+                                backend.evaluate(&spec, n, &ctx()),
+                            )
+                        });
+                        let at = format!("{backend}, {threads} threads, plan {plan}");
+                        prop_assert_eq!(format!("{:?}", joint.edge), format!("{edge:?}"), "{}", at);
+                        prop_assert_eq!(format!("{:?}", joint.cloud), format!("{cloud:?}"), "{}", at);
+                        prop_assert_eq!(joint.n_clients, n);
+                    }
+                }
             }
         }
     }

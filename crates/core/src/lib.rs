@@ -55,12 +55,12 @@ pub mod timeline;
 
 pub use allocator::{Allocation, FillPolicy, ServerAllocation};
 pub use client::{Action, ClientModel};
-pub use columns::{ClassView, FleetColumns, TransferColumns};
+pub use columns::{ClassView, FleetColumns};
 pub use des::{
     simulate_async_cycle, simulate_async_cycle_memoized, simulate_async_cycle_with,
     AsyncCycleReport, DesFaults, DesRun, DesRunReport, DesTrace, ShapeMemo,
 };
-pub use engine::{AllocationCache, Backend, CycleEngine, ScenarioSpec, SimContext};
+pub use engine::{AllocationCache, Backend, CycleDraw, CycleEngine, ScenarioSpec, SimContext};
 pub use faults::{Brownout, ClientClass, FaultPlan, FaultStats, OutageWindow, RetryPolicy};
 pub use fleet::{simulate_fleet, simulate_fleet_with, FleetGroup, FleetReport};
 pub use loss::{ClientLoss, LossModel, PenaltyMode, SaturationPenalty, TransferPenalty};
