@@ -44,7 +44,9 @@ const DSP_WARM_MS: &[(&str, f64)] = &[
     ("clip_to_mel", 6.117),
     ("clip_to_mfcc13", 13.252),
     ("cnn_forward_100px", 10.576),
-    ("cnn_forward_100px_int8", 3.965),
+    // Assumes the quad GEMM's VNNI step; a build target without
+    // AVX-512 VNNI runs the portable step, about 1.7 ms slower here.
+    ("cnn_forward_100px_int8", 1.738),
     ("conv3x3_8c_50px_gemm", 0.352),
     ("end_to_end_clip_to_prediction", 17.198),
     ("end_to_end_batch8", 90.131),

@@ -8,17 +8,25 @@
 //!    [`quantize_resnet`]) — symmetric per-tensor rounding with dequantized
 //!    f64 inference, used to measure the accuracy cost of a bit width.
 //! 2. **A true integer engine** ([`QuantizedResNetLite`]) — per-channel
-//!    symmetric int8 weights, activations quantized on the fly during
-//!    im2col, an i8×i8→i32 GEMM kernel, and a per-channel rescale back to
+//!    symmetric int8 weights, activations quantized once per plane, an
+//!    im2col that packs four taps to a 32-bit word, a register-blocked
+//!    u8×i8→i32 GEMM over those words, and a per-channel rescale back to
 //!    f64 at each layer output. Activation scales come from a one-shot
 //!    calibration pass over a sample corpus; the f32 network stays around
 //!    as the accuracy oracle.
 //!
-//! The integer accumulation is *exact*: a fan-in of `F` taps bounds
-//! `|acc| ≤ F·127²`, so any layer with `F ≤ 133 000` fits an `i32` with
-//! no saturation (asserted at construction). The only error versus a
-//! dequantized-f64 reference is the final `bias + s_w·s_x·acc` rounding,
-//! which the parity proptest pins to ≤1e-9 relative.
+//! The GEMM multiplies activations offset to u8 (`x + 128`, stored as
+//! `x ^ 0x80`) by signed weights, four taps per step — the operand shape
+//! of AVX-512 VNNI's `vpdpbusd`, which the kernel uses when the build
+//! target has it and a portable scalar step of the same loop nest
+//! otherwise. Each output channel then subtracts its constant
+//! `128·Σw`. The integer accumulation is *exact*: a fan-in of `F` taps
+//! bounds every partial sum by `F·255·127`, so any layer with
+//! `F ≤ 66 311` fits an `i32` with no wrap (asserted at construction),
+//! and because i32 sums do not depend on their order the logits are the
+//! same bits on either step. The only error versus a dequantized-f64
+//! reference is the final `bias + s_w·s_x·acc` rounding, which the parity
+//! proptest pins to ≤1e-9 relative.
 //!
 //! Batched inference ([`QuantizedResNetLite::forward_batch`]) fans clips
 //! over the persistent worker pool in a fixed number of lanes derived
@@ -40,9 +48,9 @@ pub const Q_MAX_I8: i32 = 127;
 /// independent of how many pool workers execute the lanes.
 pub const MAX_BATCH_LANES: usize = 8;
 
-/// K-dimension panel width of the blocked int8 GEMM. Wider than the f64
-/// kernel's panel because int8 weight rows are 8× smaller.
-const GEMM_KB_I8: usize = 128;
+/// Largest convolution fan-in whose quad GEMM sums stay exact in i32:
+/// `fan_in·255·127 < 2³¹`.
+const MAX_FAN_IN: usize = 66_311;
 
 /// Symmetric per-tensor quantization parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -185,34 +193,187 @@ fn quantize_weight_row(row: &[f64], out: &mut Vec<i8>) -> f64 {
     scale
 }
 
-/// Blocked int8 GEMM: `acc[oc][p] = Σ_f w[oc][f] · qcols[f][p]` in exact
-/// i32 arithmetic, panelled over the K dimension like the f64 kernel.
-fn gemm_i8(
-    weights: &[i8],
-    out_c: usize,
-    fan_in: usize,
-    qcols: &[i8],
+/// Packs an int8 weight row into `⌈len/4⌉` little-endian quads, the
+/// last one zero-padded; returns the row's offset correction `128·Σw`.
+fn pack_quads(row: &[i8], out: &mut Vec<u32>) -> i32 {
+    out.extend(row.chunks(4).map(|taps| {
+        let mut bytes = [0u8; 4];
+        for (b, &t) in bytes.iter_mut().zip(taps) {
+            *b = t as u8;
+        }
+        u32::from_le_bytes(bytes)
+    }));
+    128 * row.iter().map(|&t| i32::from(t)).sum::<i32>()
+}
+
+/// Output channels of one register tile of the quad GEMM.
+const TILE_OC: usize = 8;
+/// Patches of one register tile of the quad GEMM.
+const TILE_P: usize = 32;
+
+/// One register tile of the quad GEMM: up to [`TILE_OC`] channels (the
+/// step's const parameter) × `np ≤ TILE_P` patches from `p0`.
+struct Tile<'a> {
+    /// Weight quads from the tile's first channel on, `n_quads` a row.
+    w: &'a [u32],
+    /// Offset corrections from the tile's first channel on.
+    offset: &'a [i32],
+    n_quads: usize,
+    /// The whole `[n_quads][n_patch]` patch matrix.
+    cols: &'a [u32],
+    n_patch: usize,
+    p0: usize,
+    np: usize,
+    /// Accumulator rows from the tile's first channel on, `n_patch` a row.
+    acc: &'a mut [i32],
+}
+
+/// How one tile runs its fan-in: the loop nest and the layout are
+/// [`gemm_quads`]'s; a step only multiplies quads and stores the tile.
+trait QuadStep {
+    /// Accumulates `Σ_q dot4(cols[q][p], w[c][q])` for the tile's `OC`
+    /// channels in registers and stores each minus its offset, once.
+    fn tile<const OC: usize>(t: Tile<'_>);
+}
+
+/// `acc[oc][p] = Σ_f w[oc][f] · x[f][p]` in exact i32 over the quad
+/// layout: weights `[out_c][n_quads]`, patches `[n_quads][n_patch]` with
+/// activations offset to u8. Tiles of 8 channels × 32 patches keep their
+/// accumulators in registers across the whole fan-in; patch tiles run
+/// outermost so a tile's columns stay in L1 across the channel tiles.
+fn gemm_quads<S: QuadStep>(
+    w: &[u32],
+    offset: &[i32],
+    n_quads: usize,
+    cols: &[u32],
     n_patch: usize,
     acc: &mut [i32],
 ) {
-    acc.fill(0);
-    let mut f0 = 0;
-    while f0 < fan_in {
-        let f1 = (f0 + GEMM_KB_I8).min(fan_in);
-        for oc in 0..out_c {
-            let arow = &mut acc[oc * n_patch..(oc + 1) * n_patch];
-            for f in f0..f1 {
-                let wv = i32::from(weights[oc * fan_in + f]);
-                if wv == 0 {
-                    continue;
+    let out_c = offset.len();
+    debug_assert_eq!(w.len(), out_c * n_quads);
+    debug_assert_eq!(cols.len(), n_quads * n_patch);
+    debug_assert_eq!(acc.len(), out_c * n_patch);
+    for p0 in (0..n_patch).step_by(TILE_P) {
+        let np = TILE_P.min(n_patch - p0);
+        for oc0 in (0..out_c).step_by(TILE_OC) {
+            let t = Tile {
+                w: &w[oc0 * n_quads..],
+                offset: &offset[oc0..],
+                n_quads,
+                cols,
+                n_patch,
+                p0,
+                np,
+                acc: &mut acc[oc0 * n_patch..],
+            };
+            match out_c - oc0 {
+                1 => S::tile::<1>(t),
+                2 => S::tile::<2>(t),
+                3 => S::tile::<3>(t),
+                4 => S::tile::<4>(t),
+                5 => S::tile::<5>(t),
+                6 => S::tile::<6>(t),
+                7 => S::tile::<7>(t),
+                _ => S::tile::<TILE_OC>(t),
+            }
+        }
+    }
+}
+
+/// The quad step of this build: VNNI when the target has it, else the
+/// portable one. A compile-time choice (`target-cpu=native` in
+/// `.cargo/config.toml`), with no runtime switch.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512vnni"))]
+type Step = vnni::Vnni;
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512vnni")))]
+type Step = portable::Portable;
+
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx512vnni"))))]
+mod portable {
+    use super::{QuadStep, Tile, TILE_P};
+
+    /// Scalar quad step: the same tile, one 4-tap dot product per lane.
+    pub(super) struct Portable;
+
+    impl QuadStep for Portable {
+        fn tile<const OC: usize>(t: Tile<'_>) {
+            let mut acc = [[0i32; TILE_P]; OC];
+            let mut x = [0u32; TILE_P];
+            for q in 0..t.n_quads {
+                x[..t.np].copy_from_slice(&t.cols[q * t.n_patch + t.p0..][..t.np]);
+                for (c, row) in acc.iter_mut().enumerate() {
+                    let [w0, w1, w2, w3] =
+                        t.w[c * t.n_quads + q].to_le_bytes().map(|b| i32::from(b as i8));
+                    for (a, &xv) in row.iter_mut().zip(&x) {
+                        let [x0, x1, x2, x3] = xv.to_le_bytes().map(i32::from);
+                        *a += x0 * w0 + x1 * w1 + x2 * w2 + x3 * w3;
+                    }
                 }
-                let crow = &qcols[f * n_patch..(f + 1) * n_patch];
-                for (a, &c) in arow.iter_mut().zip(crow) {
-                    *a += wv * i32::from(c);
+            }
+            for (c, row) in acc.iter().enumerate() {
+                let out = &mut t.acc[c * t.n_patch + t.p0..][..t.np];
+                for (o, &a) in out.iter_mut().zip(row) {
+                    *o = a - t.offset[c];
                 }
             }
         }
-        f0 = f1;
+    }
+}
+
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512vnni"))]
+mod vnni {
+    use super::{QuadStep, Tile, TILE_P};
+    use std::arch::x86_64::*;
+
+    /// AVX-512 VNNI quad step: two 16-lane `vpdpbusd` accumulators per
+    /// channel, masked loads and stores for a short patch tile.
+    pub(super) struct Vnni;
+
+    impl QuadStep for Vnni {
+        fn tile<const OC: usize>(t: Tile<'_>) {
+            // SAFETY: this module is only compiled for targets with
+            // AVX-512 VNNI (and so AVX-512F).
+            unsafe { tile::<OC>(t) }
+        }
+    }
+
+    #[target_feature(enable = "avx512f,avx512vnni")]
+    fn tile<const OC: usize>(t: Tile<'_>) {
+        const HALF: usize = TILE_P / 2;
+        let lanes = |n: usize| ((1u32 << n.min(HALF)) - 1) as __mmask16;
+        let (m0, m1) = (lanes(t.np), lanes(t.np.saturating_sub(HALF)));
+        let mut acc = [[_mm512_setzero_si512(); 2]; OC];
+        for q in 0..t.n_quads {
+            let x = t.cols[q * t.n_patch + t.p0..][..t.np].as_ptr().cast::<i32>();
+            // SAFETY: `x` starts a slice of `np` elements and the lanes at
+            // or past `np` are masked off (masked-off lanes neither load
+            // nor fault).
+            let (x0, x1) = unsafe {
+                (
+                    _mm512_maskz_loadu_epi32(m0, x),
+                    _mm512_maskz_loadu_epi32(m1, x.wrapping_add(HALF)),
+                )
+            };
+            for (c, a) in acc.iter_mut().enumerate() {
+                let w = _mm512_set1_epi32(t.w[c * t.n_quads + q] as i32);
+                a[0] = _mm512_dpbusd_epi32(a[0], x0, w);
+                a[1] = _mm512_dpbusd_epi32(a[1], x1, w);
+            }
+        }
+        for (c, a) in acc.iter().enumerate() {
+            let out = t.acc[c * t.n_patch + t.p0..][..t.np].as_mut_ptr();
+            let offset = _mm512_set1_epi32(t.offset[c]);
+            // SAFETY: as for the loads, `out` starts a slice of `np`
+            // elements and only the `np` unmasked lanes are written.
+            unsafe {
+                _mm512_mask_storeu_epi32(out, m0, _mm512_sub_epi32(a[0], offset));
+                _mm512_mask_storeu_epi32(
+                    out.wrapping_add(HALF),
+                    m1,
+                    _mm512_sub_epi32(a[1], offset),
+                );
+            }
+        }
     }
 }
 
@@ -225,9 +386,15 @@ pub struct QuantizedConv2d {
     k: usize,
     stride: usize,
     pad: usize,
-    /// Packed int8 weights, `[out_c][fan_in]` row-major — each GEMM row is
-    /// one contiguous 1-byte-per-tap panel.
-    weights_i8: Vec<i8>,
+    /// Taps per output channel, `in_c·k·k`.
+    fan_in: usize,
+    /// Quads per output channel, `⌈fan_in/4⌉`.
+    n_quads: usize,
+    /// Int8 weights packed four taps to a word, `[out_c][n_quads]`.
+    w_quads: Vec<u32>,
+    /// Per-output-channel `128·Σw`, what the u8 activation offset adds
+    /// to every sum.
+    w_offset: Vec<i32>,
     /// Per-output-channel weight scales.
     w_scales: Vec<f64>,
     /// Biases stay in f64.
@@ -242,14 +409,16 @@ impl QuantizedConv2d {
     /// maximum absolute input activation.
     pub fn from_conv(conv: &Conv2d, x_range: f64) -> Self {
         let fan_in = conv.in_c * conv.k * conv.k;
-        assert!(
-            (fan_in as i64) * (Q_MAX_I8 as i64).pow(2) < i64::from(i32::MAX),
-            "fan-in {fan_in} could overflow the i32 accumulator"
-        );
-        let mut weights_i8 = Vec::with_capacity(conv.out_c * fan_in);
+        assert!(fan_in <= MAX_FAN_IN, "fan-in {fan_in} could overflow the i32 accumulator");
+        let n_quads = fan_in.div_ceil(4);
+        let mut w_quads = Vec::with_capacity(conv.out_c * n_quads);
+        let mut w_offset = Vec::with_capacity(conv.out_c);
         let mut w_scales = Vec::with_capacity(conv.out_c);
+        let mut row_i8 = Vec::with_capacity(fan_in);
         for row in conv.weights.chunks_exact(fan_in) {
-            w_scales.push(quantize_weight_row(row, &mut weights_i8));
+            row_i8.clear();
+            w_scales.push(quantize_weight_row(row, &mut row_i8));
+            w_offset.push(pack_quads(&row_i8, &mut w_quads));
         }
         let x_scale = scale_for(x_range);
         QuantizedConv2d {
@@ -258,7 +427,10 @@ impl QuantizedConv2d {
             k: conv.k,
             stride: conv.stride,
             pad: conv.pad,
-            weights_i8,
+            fan_in,
+            n_quads,
+            w_quads,
+            w_offset,
             w_scales,
             bias: conv.bias.clone(),
             x_scale,
@@ -296,19 +468,15 @@ impl QuantizedConv2d {
         &self.w_scales
     }
 
-    /// The packed int8 weight rows.
-    pub fn weights_i8(&self) -> &[i8] {
-        &self.weights_i8
-    }
-
     /// Quantizes one activation onto this layer's input grid.
     pub fn quantize_activation(&self, v: f64) -> i8 {
         quantize_sat_i8(v, self.inv_x_scale)
     }
 
-    /// Weight bytes of the packed layout.
+    /// Int8 weight bytes, one per tap (the zero bytes padding each
+    /// channel's last quad are not counted).
     pub fn weight_bytes(&self) -> usize {
-        self.weights_i8.len()
+        self.out_c * self.fan_in
     }
 
     /// Quantizes a whole `in_c × h × w` activation plane onto this
@@ -324,65 +492,65 @@ impl QuantizedConv2d {
         }
     }
 
-    /// im2col over the *already quantized* plane: row
-    /// `f = (ic·k + ky)·k + kx` of the `fan_in × (oh·ow)` patch matrix
-    /// holds the int8 sample under kernel tap `(ic, ky, kx)`, zero where
-    /// the tap falls in padding (the symmetric grid's zero-point). Same
-    /// geometry as the f64 [`Conv2d`] unroll, but every move is a byte
-    /// copy.
-    fn im2col_i8(
+    /// im2col over the *already quantized* plane, four taps to a word:
+    /// byte `f % 4` of word `(f / 4, p)` in the `n_quads × (oh·ow)` patch
+    /// matrix holds tap `f = (ic·k + ky)·k + kx` of patch `p`, offset to
+    /// u8 (`x ^ 0x80`). Padding and the taps past `fan_in` that fill the
+    /// last quad read `0x80`, the offset form of x = 0. Same geometry as
+    /// the f64 [`Conv2d`] unroll; each tap is one pass that flips its
+    /// byte of the words it reads inside the plane.
+    fn im2col_quads(
         &self,
         qplane: &[i8],
         h: usize,
         w: usize,
         oh: usize,
         ow: usize,
-        qcols: &mut Vec<i8>,
+        qcols: &mut Vec<u32>,
     ) {
         let n_patch = oh * ow;
         qcols.clear();
-        qcols.resize(self.in_c * self.k * self.k * n_patch, 0);
-        for ic in 0..self.in_c {
+        qcols.resize(self.n_quads * n_patch, 0x8080_8080);
+        for f in 0..self.fan_in {
+            let (ic, ky, kx) = (f / (self.k * self.k), (f / self.k) % self.k, f % self.k);
             let chan = &qplane[ic * h * w..(ic + 1) * h * w];
-            for ky in 0..self.k {
-                let off_y = ky as isize - self.pad as isize;
-                for kx in 0..self.k {
-                    let off_x = kx as isize - self.pad as isize;
-                    let f = (ic * self.k + ky) * self.k + kx;
-                    let row = &mut qcols[f * n_patch..(f + 1) * n_patch];
-                    let ox_lo =
-                        if off_x >= 0 { 0 } else { ((-off_x) as usize).div_ceil(self.stride) };
-                    let ox_hi = if (w as isize) <= off_x {
-                        0
-                    } else {
-                        (((w as isize - 1 - off_x) as usize) / self.stride + 1).min(ow)
-                    };
-                    if ox_lo >= ox_hi {
-                        continue;
+            let words = &mut qcols[(f / 4) * n_patch..(f / 4 + 1) * n_patch];
+            let shift = 8 * (f % 4);
+            let off_y = ky as isize - self.pad as isize;
+            let off_x = kx as isize - self.pad as isize;
+            let ox_lo = if off_x >= 0 { 0 } else { ((-off_x) as usize).div_ceil(self.stride) };
+            let ox_hi = if (w as isize) <= off_x {
+                0
+            } else {
+                (((w as isize - 1 - off_x) as usize) / self.stride + 1).min(ow)
+            };
+            if ox_lo >= ox_hi {
+                continue;
+            }
+            for oy in 0..oh {
+                let iy = oy as isize * self.stride as isize + off_y;
+                if iy < 0 || iy >= h as isize {
+                    continue;
+                }
+                let src = &chan[iy as usize * w..(iy as usize + 1) * w];
+                let dst = &mut words[oy * ow..(oy + 1) * ow];
+                if self.stride == 1 {
+                    let ix0 = (ox_lo as isize + off_x) as usize;
+                    for (d, &x) in dst[ox_lo..ox_hi].iter_mut().zip(&src[ix0..]) {
+                        *d ^= u32::from(x as u8) << shift;
                     }
-                    for oy in 0..oh {
-                        let iy = oy as isize * self.stride as isize + off_y;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let src = &chan[iy as usize * w..(iy as usize + 1) * w];
-                        let dst = &mut row[oy * ow..(oy + 1) * ow];
-                        if self.stride == 1 {
-                            let ix0 = (ox_lo as isize + off_x) as usize;
-                            dst[ox_lo..ox_hi].copy_from_slice(&src[ix0..ix0 + (ox_hi - ox_lo)]);
-                        } else {
-                            for (ox, d) in dst[..ox_hi].iter_mut().enumerate().skip(ox_lo) {
-                                *d = src[(ox as isize * self.stride as isize + off_x) as usize];
-                            }
-                        }
+                } else {
+                    for (ox, d) in dst[..ox_hi].iter_mut().enumerate().skip(ox_lo) {
+                        let x = src[(ox as isize * self.stride as isize + off_x) as usize];
+                        *d ^= u32::from(x as u8) << shift;
                     }
                 }
             }
         }
     }
 
-    /// Integer forward pass: plane quantization, byte-copy im2col, int8
-    /// GEMM, then a per-channel rescale
+    /// Integer forward pass: plane quantization, quad im2col, quad GEMM,
+    /// then a per-channel rescale
     /// `out[oc][p] = bias[oc] + s_w[oc]·s_x·acc` with an optionally fused
     /// ReLU. `out` is resized to `out_c·oh·ow`; all buffers reuse their
     /// capacity on warm calls.
@@ -393,7 +561,7 @@ impl QuantizedConv2d {
         h: usize,
         w: usize,
         qplane: &mut Vec<i8>,
-        qcols: &mut Vec<i8>,
+        qcols: &mut Vec<u32>,
         acc: &mut Vec<i32>,
         out: &mut Vec<f64>,
         fuse_relu: bool,
@@ -413,7 +581,7 @@ impl QuantizedConv2d {
         qplane: &[i8],
         h: usize,
         w: usize,
-        qcols: &mut Vec<i8>,
+        qcols: &mut Vec<u32>,
         acc: &mut Vec<i32>,
         out: &mut Vec<f64>,
         fuse_relu: bool,
@@ -421,11 +589,10 @@ impl QuantizedConv2d {
         assert_eq!(qplane.len(), self.in_c * h * w, "input shape mismatch");
         let (oh, ow) = self.output_size(h, w);
         let n_patch = oh * ow;
-        self.im2col_i8(qplane, h, w, oh, ow, qcols);
+        self.im2col_quads(qplane, h, w, oh, ow, qcols);
         acc.clear();
         acc.resize(self.out_c * n_patch, 0);
-        let fan_in = self.in_c * self.k * self.k;
-        gemm_i8(&self.weights_i8, self.out_c, fan_in, qcols, n_patch, acc);
+        gemm_quads::<Step>(&self.w_quads, &self.w_offset, self.n_quads, qcols, n_patch, acc);
         out.clear();
         out.resize(self.out_c * n_patch, 0.0);
         for oc in 0..self.out_c {
@@ -509,7 +676,7 @@ impl QuantizedDense {
     }
 }
 
-/// Per-clip scratch arena: the quantized patch matrix, the i32
+/// Per-clip scratch arena: the quad patch matrix, the i32
 /// accumulator, ping-pong f64 activation planes, the projection/skip
 /// buffer, and the pooled/quantized head inputs. After the first clip of
 /// a given geometry every buffer is capacity-warm, so steady-state
@@ -517,7 +684,7 @@ impl QuantizedDense {
 #[derive(Clone, Debug, Default)]
 pub struct ClipScratch {
     qplane: Vec<i8>,
-    qcols: Vec<i8>,
+    qcols: Vec<u32>,
     acc: Vec<i32>,
     a: Vec<f64>,
     b: Vec<f64>,
@@ -758,6 +925,57 @@ impl QuantizedResNetLite {
     }
 }
 
+/// The row-layout int8 path the quad kernel replaced, kept as its
+/// bit-identity oracle: an i8 patch row per tap, and one widening axpy
+/// of a whole accumulator row per (channel, tap).
+#[cfg(test)]
+mod oracle {
+    use super::QuantizedConv2d;
+
+    /// Row `f = (ic·k + ky)·k + kx` of the `fan_in × (oh·ow)` patch
+    /// matrix holds the sample under tap `(ic, ky, kx)`, zero in padding.
+    pub(super) fn im2col_rows(
+        conv: &QuantizedConv2d,
+        qplane: &[i8],
+        h: usize,
+        w: usize,
+    ) -> Vec<i8> {
+        let (oh, ow) = conv.output_size(h, w);
+        let (k, stride, pad) = (conv.k, conv.stride as isize, conv.pad as isize);
+        let n_patch = oh * ow;
+        let mut cols = vec![0i8; conv.fan_in * n_patch];
+        for (f, row) in cols.chunks_exact_mut(n_patch).enumerate() {
+            let (ic, ky, kx) = (f / (k * k), (f / k) % k, f % k);
+            for (p, c) in row.iter_mut().enumerate() {
+                let iy = (p / ow) as isize * stride + ky as isize - pad;
+                let ix = (p % ow) as isize * stride + kx as isize - pad;
+                if (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix) {
+                    *c = qplane[ic * h * w + iy as usize * w + ix as usize];
+                }
+            }
+        }
+        cols
+    }
+
+    /// `acc[oc][p] = Σ_f w[oc][f] · cols[f][p]`, one row axpy at a time.
+    pub(super) fn gemm_rows(
+        weights: &[i8],
+        fan_in: usize,
+        cols: &[i8],
+        n_patch: usize,
+    ) -> Vec<i32> {
+        let mut acc = vec![0i32; weights.len() / fan_in.max(1) * n_patch];
+        for (arow, wrow) in acc.chunks_exact_mut(n_patch).zip(weights.chunks_exact(fan_in)) {
+            for (&wv, crow) in wrow.iter().zip(cols.chunks_exact(n_patch)) {
+                for (a, &c) in arow.iter_mut().zip(crow) {
+                    *a += i32::from(wv) * i32::from(c);
+                }
+            }
+        }
+        acc
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -911,17 +1129,19 @@ mod tests {
         (0..6u64).map(|s| random_clip(side, 900 + s)).collect()
     }
 
+    /// The int8 weight of channel `oc` at tap `f`, unpacked from its quad.
+    fn weight_i8(q: &QuantizedConv2d, oc: usize, f: usize) -> i8 {
+        q.w_quads[oc * q.n_quads + f / 4].to_le_bytes()[f % 4] as i8
+    }
+
     /// Dequantized-f64 reference for one quantized conv: rebuild an f64
     /// `Conv2d` from the dequantized int8 weights and feed it the
     /// dequantized int8 activations; the integer path must match to
     /// floating-point rounding (the i32 accumulation itself is exact).
     fn dequantized_reference(q: &QuantizedConv2d, conv: &Conv2d, x: &FeatureMap) -> FeatureMap {
         let fan_in = conv.in_c * conv.k * conv.k;
-        let weights: Vec<f64> = q
-            .weights_i8()
-            .iter()
-            .enumerate()
-            .map(|(i, &wq)| f64::from(wq) * q.w_scales()[i / fan_in])
+        let weights: Vec<f64> = (0..conv.out_c * fan_in)
+            .map(|i| f64::from(weight_i8(q, i / fan_in, i % fan_in)) * q.w_scales()[i / fan_in])
             .collect();
         let deq_conv = Conv2d { weights, ..conv.clone() };
         let deq_x = FeatureMap::from_vec(
@@ -1073,9 +1293,190 @@ mod tests {
         assert_eq!(caps(&scratch), warm, "warm int8 forward grew a scratch buffer");
     }
 
+    // --- quad GEMM against the row oracle ---
+
+    /// The int8 patch rows in the quad layout: byte `j` of word `(q, p)`
+    /// is row `4q + j` at patch `p` offset to u8, `0x80` past `fan_in`.
+    fn rows_to_quads(rows: &[i8], fan_in: usize, n_patch: usize) -> Vec<u32> {
+        let n_quads = fan_in.div_ceil(4);
+        (0..n_quads * n_patch)
+            .map(|i| {
+                let (q, p) = (i / n_patch, i % n_patch);
+                let bytes: [u8; 4] = std::array::from_fn(|j| {
+                    let f = 4 * q + j;
+                    if f < fan_in {
+                        rows[f * n_patch + p] as u8 ^ 0x80
+                    } else {
+                        0x80
+                    }
+                });
+                u32::from_le_bytes(bytes)
+            })
+            .collect()
+    }
+
+    /// Runs [`gemm_quads`] on `step` from row-layout weights and patches.
+    fn quad_gemm<S: QuadStep>(
+        weights: &[i8],
+        fan_in: usize,
+        rows: &[i8],
+        n_patch: usize,
+    ) -> Vec<i32> {
+        let (mut w, mut offset) = (Vec::new(), Vec::new());
+        for row in weights.chunks_exact(fan_in) {
+            offset.push(pack_quads(row, &mut w));
+        }
+        let cols = rows_to_quads(rows, fan_in, n_patch);
+        let mut acc = vec![0i32; offset.len() * n_patch];
+        gemm_quads::<S>(&w, &offset, fan_in.div_ceil(4), &cols, n_patch, &mut acc);
+        acc
+    }
+
+    /// Both quad steps this build has, each against the row oracle.
+    fn assert_steps_match_oracle(weights: &[i8], fan_in: usize, rows: &[i8], n_patch: usize) {
+        let want = oracle::gemm_rows(weights, fan_in, rows, n_patch);
+        assert_eq!(
+            quad_gemm::<portable::Portable>(weights, fan_in, rows, n_patch),
+            want,
+            "portable step"
+        );
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512vnni"))]
+        assert_eq!(quad_gemm::<vnni::Vnni>(weights, fan_in, rows, n_patch), want, "VNNI step");
+    }
+
+    /// Runs [`gemm_quads`] on `step` with `q`'s weights over `cols`.
+    fn conv_gemm<S: QuadStep>(q: &QuantizedConv2d, cols: &[u32], n_patch: usize) -> Vec<i32> {
+        let mut acc = vec![0i32; q.out_c * n_patch];
+        gemm_quads::<S>(&q.w_quads, &q.w_offset, q.n_quads, cols, n_patch, &mut acc);
+        acc
+    }
+
+    #[test]
+    fn max_fan_in_is_the_exact_i32_bound() {
+        let bound = |f: usize| f as i64 * 255 * i64::from(Q_MAX_I8);
+        assert!(bound(MAX_FAN_IN) < 1 << 31);
+        assert!(bound(MAX_FAN_IN + 1) >= 1 << 31);
+    }
+
+    #[test]
+    fn quad_kernel_is_exact_at_the_fan_in_bound() {
+        // x = 127 is u8 255, the largest partial sum `dpbusd` can build.
+        let rows = vec![Q_MAX_I8 as i8; MAX_FAN_IN * 3];
+        for w in [Q_MAX_I8 as i8, -Q_MAX_I8 as i8] {
+            let weights = vec![w; MAX_FAN_IN];
+            let want = MAX_FAN_IN as i32 * i32::from(w) * Q_MAX_I8;
+            assert_eq!(oracle::gemm_rows(&weights, MAX_FAN_IN, &rows, 3), vec![want; 3]);
+            assert_steps_match_oracle(&weights, MAX_FAN_IN, &rows, 3);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "could overflow the i32 accumulator")]
+    fn from_conv_rejects_a_fan_in_past_the_bound() {
+        let conv = Conv2d::new(MAX_FAN_IN + 1, 1, 1, 1, 0, &mut StdRng::seed_from_u64(3));
+        let _ = QuantizedConv2d::from_conv(&conv, 1.0);
+    }
+
+    #[test]
+    fn network_shapes_match_the_oracle() {
+        // The distinct (out_c, fan_in, n_patch) shapes of the default
+        // network's nine GEMMs at 100 px: patch counts 10 000, 2 500 and
+        // 625 all leave a partial 32-patch tile.
+        let mut rng = StdRng::seed_from_u64(21);
+        for (out_c, fan_in, n_patch) in [
+            (8, 9, 10_000),
+            (8, 72, 10_000),
+            (16, 72, 2_500),
+            (16, 8, 2_500),
+            (16, 144, 2_500),
+            (32, 144, 625),
+            (32, 16, 625),
+            (32, 288, 625),
+        ] {
+            let weights: Vec<i8> = (0..out_c * fan_in).map(|_| rng.gen_range(-127..=127)).collect();
+            let rows: Vec<i8> = (0..fan_in * n_patch).map(|_| rng.gen_range(-127..=127)).collect();
+            assert_steps_match_oracle(&weights, fan_in, &rows, n_patch);
+        }
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(proptest::test_runner::Config::with_cases(64))]
+            #[test]
+            fn quad_kernel_matches_the_row_oracle(
+                out_c in 1usize..=40,
+                fan_in in 1usize..=300,
+                n_patch in 1usize..=200,
+                fill in 0u8..4,
+                seed in 0u64..1_000_000,
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut draw = |n: usize| -> Vec<i8> {
+                    (0..n).map(|_| rng.gen_range(-127..=127)).collect()
+                };
+                let (mut weights, mut rows) = (draw(out_c * fan_in), draw(fan_in * n_patch));
+                match fill {
+                    // All ±127: the largest magnitudes the grid holds.
+                    1 => {
+                        for v in weights.iter_mut().chain(rows.iter_mut()) {
+                            *v = if *v < 0 { -127 } else { 127 };
+                        }
+                    }
+                    // One sign throughout, the largest sums of either sign.
+                    2 => {
+                        let w = if seed % 2 == 0 { 127 } else { -127 };
+                        weights.fill(w);
+                        rows.fill(127);
+                    }
+                    // Every other weight row all zero.
+                    3 => {
+                        for row in weights.chunks_exact_mut(fan_in).step_by(2) {
+                            row.fill(0);
+                        }
+                    }
+                    _ => {}
+                }
+                assert_steps_match_oracle(&weights, fan_in, &rows, n_patch);
+            }
+
+            #[test]
+            fn quad_im2col_and_kernel_match_the_row_oracle(
+                in_c in 1usize..=12,
+                out_c in 1usize..=20,
+                k in 1usize..=5,
+                stride in 1usize..=2,
+                pad in 0usize..=2,
+                extra_h in 0usize..=9,
+                extra_w in 0usize..=9,
+                seed in 0u64..1_000_000,
+            ) {
+                let (h, w) = (k + extra_h, k + extra_w);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let conv = Conv2d::new(in_c, out_c, k, stride, pad, &mut rng);
+                let q = QuantizedConv2d::from_conv(&conv, 1.0);
+                let (oh, ow) = q.output_size(h, w);
+                let qplane: Vec<i8> =
+                    (0..in_c * h * w).map(|_| rng.gen_range(-127..=127)).collect();
+                let weights: Vec<i8> = (0..out_c * q.fan_in)
+                    .map(|i| weight_i8(&q, i / q.fan_in, i % q.fan_in))
+                    .collect();
+                let want = oracle::gemm_rows(
+                    &weights,
+                    q.fan_in,
+                    &oracle::im2col_rows(&q, &qplane, h, w),
+                    oh * ow,
+                );
+                let mut cols = Vec::new();
+                q.im2col_quads(&qplane, h, w, oh, ow, &mut cols);
+                let portable = conv_gemm::<portable::Portable>(&q, &cols, oh * ow);
+                prop_assert_eq!(portable, want.clone());
+                #[cfg(all(target_arch = "x86_64", target_feature = "avx512vnni"))]
+                prop_assert_eq!(conv_gemm::<vnni::Vnni>(&q, &cols, oh * ow), want);
+            }
+        }
 
         proptest! {
             #![proptest_config(proptest::test_runner::Config::with_cases(32))]

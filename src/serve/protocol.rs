@@ -350,12 +350,14 @@ impl Request {
 // Field kinds
 // ---------------------------------------------------------------------
 
-/// The largest integer a JSON number carries exactly: 2⁵³.
-const MAX_EXACT: u64 = 1 << 53;
+/// 2⁵³: the integers below it are exact in a JSON number, and it is
+/// the first that is not told apart from its successor (2⁵³ + 1 reads
+/// as 2⁵³).
+const EXACT_LIMIT: u64 = 1 << 53;
 
-/// Whether a JSON number is an exact non-negative integer (≤ 2⁵³).
+/// Whether a JSON number is an exact non-negative integer (below 2⁵³).
 fn is_exact_integer(n: f64) -> bool {
-    n.fract() == 0.0 && (0.0..=MAX_EXACT as f64).contains(&n)
+    n.fract() == 0.0 && (0.0..EXACT_LIMIT as f64).contains(&n)
 }
 
 /// A field kind: how a value is read from a request (command-line
@@ -373,7 +375,7 @@ impl Kind for usize {
     fn read(key: &str, v: &Json) -> Result<usize, String> {
         let n = v.as_f64().ok_or_else(|| format!("`{key}` must be a number"))?;
         if !is_exact_integer(n) {
-            return Err(format!("`{key}` must be a non-negative integer, got {n}"));
+            return Err(format!("`{key}` must be a non-negative integer below 2^53, got {n}"));
         }
         Ok(n as usize)
     }
@@ -382,7 +384,7 @@ impl Kind for usize {
     }
 }
 
-/// A seed: an integer (exact up to 2⁵³), or a decimal or `0x…` string
+/// A seed: an integer (below 2⁵³), or a decimal or `0x…` string
 /// (exact over the full u64 range); rendered as a string.
 impl Kind for u64 {
     fn read(key: &str, v: &Json) -> Result<u64, String> {
@@ -396,8 +398,8 @@ impl Kind for u64 {
         let n = v.as_f64().ok_or_else(|| format!("`{key}` must be a number or string"))?;
         if !is_exact_integer(n) {
             return Err(format!(
-                "`{key}` number must be a non-negative integer ≤ 2^53 (use a string for larger \
-                 seeds)"
+                "`{key}` number must be a non-negative integer below 2^53 (use a string for \
+                 larger seeds)"
             ));
         }
         Ok(n as u64)
@@ -608,7 +610,7 @@ fn arg_value(text: Option<&str>) -> Json {
     let Some(s) = text else { return Json::Bool(true) };
     match (s, s.parse::<u64>(), s.parse::<f64>()) {
         ("true" | "false", _, _) => Json::Bool(s == "true"),
-        (_, Ok(n), _) if n <= MAX_EXACT => Json::Num(n as f64),
+        (_, Ok(n), _) if n < EXACT_LIMIT => Json::Num(n as f64),
         (_, Err(_), Ok(x)) if x.is_finite() => Json::Num(x),
         _ => Json::Str(s.to_string()),
     }
@@ -935,14 +937,39 @@ mod tests {
         assert!(parse_request("{\"op\":\"sweep\",\"seed\":\"18446744073709551616\"}").is_err());
     }
 
+    /// 2⁵³ + 1 parses to the same f64 as 2⁵³, so as a JSON number it is
+    /// rejected rather than read as a nearby integer; as a string, and on
+    /// the command line, whose text is exact, a seed of any size reads
+    /// exactly.
+    #[test]
+    fn numbers_past_two_to_the_53_are_rejected_not_rounded() {
+        let past = "9007199254740993";
+        assert!(parse_request(&format!("{{\"op\":\"sweep\",\"step\":{past}}}")).is_err());
+        let err = SweepRequest::from_args(&argv(&["--step", past]), &[]).unwrap_err();
+        assert!(err.contains("--step"), "{err}");
+        let err = parse_request(&format!("{{\"op\":\"sweep\",\"seed\":{past}}}")).unwrap_err();
+        assert!(err.contains("below 2^53"), "{err}");
+        let seed = |r: Request| match r {
+            Request::Sweep(r) => r.seed,
+            _ => panic!("not a sweep"),
+        };
+        let quoted = parse_request(&format!("{{\"op\":\"sweep\",\"seed\":\"{past}\"}}")).unwrap();
+        assert_eq!(seed(quoted.request), (1 << 53) + 1);
+        let (r, _) = SweepRequest::from_args(&argv(&["--seed", past]), &[]).unwrap();
+        assert_eq!(r.seed, (1 << 53) + 1);
+        let top = parse_request("{\"op\":\"sweep\",\"seed\":9007199254740991}").unwrap();
+        assert_eq!(seed(top.request), EXACT_LIMIT - 1);
+    }
+
     /// Each bound, one step past it, fails on both front ends; the
     /// command line names the flag.
     #[test]
     fn both_front_ends_reject_one_step_past_every_bound() {
         let limit = crate::orchestra::sweep::MAX_SWEEP_CLIENTS;
         let too_many = format!("{}", limit + 1);
-        // 2⁵³ + 1 has no JSON number of its own (it reads as 2⁵³).
-        let past_exact = format!("{}", MAX_EXACT + 2);
+        // Counts stop at 2⁵³ − 1: a number of 2⁵³ might have been sent
+        // as 2⁵³ + 1.
+        let past_exact = format!("{EXACT_LIMIT}");
         for (op, args, flag) in [
             ("sweep", vec!["--cap", "0"], "--cap"),
             ("sweep", vec!["--step", "0"], "--step"),
@@ -1022,8 +1049,8 @@ mod tests {
 
             #[test]
             fn sweep_argv_round_trips_through_the_canonical_form(
-                cap in near(1, MAX_EXACT as usize),
-                step in near(1, MAX_EXACT as usize),
+                cap in near(1, EXACT_LIMIT as usize - 1),
+                step in near(1, EXACT_LIMIT as usize - 1),
                 ends in (near(1, LIMIT), near(1, LIMIT)),
                 seed in (0u64..3, proptest::bool::ANY)
                     .prop_map(|(d, top)| if top { u64::MAX - d } else { d }),
@@ -1057,7 +1084,7 @@ mod tests {
             #[test]
             fn recommend_argv_round_trips_through_the_canonical_form(
                 hives in near(1, LIMIT),
-                cap in near(1, MAX_EXACT as usize),
+                cap in near(1, EXACT_LIMIT as usize - 1),
                 picks in (0usize..3, 0usize..3),
                 losses in proptest::bool::ANY,
             ) {
@@ -1082,7 +1109,7 @@ mod tests {
             fn other_ops_argv_round_trips_through_the_canonical_form(
                 clients in near(1, LIMIT),
                 replications in near(2, MAX_REPLICATIONS),
-                cap_from in near(1, MAX_EXACT as usize - 9_999),
+                cap_from in near(1, EXACT_LIMIT as usize - 10_000),
                 width in near(0, 9_999),
                 duration_s in (0.0f64..30.0).prop_map(|d| 30.0 - d),
             ) {

@@ -50,3 +50,51 @@ fn int8_accuracy_tracks_f32_within_one_point() {
         assert_eq!(&quantized.forward(x, &mut scratch), logits);
     }
 }
+
+/// FNV-1a over the bit patterns of every logit, in order.
+fn logits_digest<'a>(logits: impl IntoIterator<Item = &'a Vec<f64>>) -> u64 {
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for v in logits.into_iter().flatten() {
+        digest = (digest ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3);
+    }
+    digest
+}
+
+/// Seeded 10 s clips → paper-default mel images at 100 px.
+fn seeded_images(seed: u64, n: usize) -> Vec<FeatureMap> {
+    use precision_beekeeping::signal::audio::{BeeAudioSynth, ColonyState};
+    use precision_beekeeping::signal::pipeline::MelPipeline;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let synth = BeeAudioSynth::default();
+    let pipeline = MelPipeline::paper_default();
+    (0..n as u64)
+        .map(|i| {
+            let state = if i % 2 == 0 { ColonyState::Queenright } else { ColonyState::Queenless };
+            let clip = synth.generate(state, 10.0, &mut StdRng::seed_from_u64(seed + i));
+            let img = pipeline.image(&clip, 100);
+            FeatureMap::from_image(img.width(), img.height(), img.pixels())
+        })
+        .collect()
+}
+
+/// FNV-1a digest of the nine pinned clips' logits.
+const PINNED_LOGITS_DIGEST: u64 = 0x8c29_ef0e_0c76_5652;
+
+/// The int8 engine's logits are pinned bit for bit: integer sums do not
+/// depend on the order the kernel takes them in, so any kernel or layout
+/// change must reproduce these digests exactly.
+#[test]
+fn int8_logits_are_pinned_on_seeded_clips() {
+    use precision_beekeeping::ml::{ResNetConfig, ResNetLite};
+
+    let net = ResNetLite::new(ResNetConfig::default());
+    let quantized = QuantizedResNetLite::quantize(&net, &seeded_images(0xCA11B, 3));
+    let clips = seeded_images(0x9_1AB5, 9);
+    let mut scratch = QuantScratch::default();
+    let single: Vec<Vec<f64>> = clips.iter().map(|x| quantized.forward(x, &mut scratch)).collect();
+    let batch = quantized.forward_batch(&clips, &mut scratch);
+    assert_eq!(logits_digest(&single), PINNED_LOGITS_DIGEST, "forward logits digest");
+    assert_eq!(logits_digest(&batch), PINNED_LOGITS_DIGEST, "forward_batch logits digest");
+}
